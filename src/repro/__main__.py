@@ -16,12 +16,6 @@ Commands:
   the stalled cycles are charged to, per category, across models.
 * ``bench``    — wall-clock benchmark of the timing models over a fixed
   matrix; writes/compares JSON records (``--against`` + perf gate).
-* ``serve``    — run the sweep service: a long-lived asyncio HTTP/JSON
-  job server that shards submitted sweeps over a persistent worker
-  fleet, dedupes identical in-flight cells across clients and serves
-  repeats from a shared (optionally size-bounded LRU) result cache.
-* ``submit``   — send a sweep spec to a running service and follow its
-  JSONL event stream; results are bit-identical to ``repro sweep``.
 * ``cache``    — inspect (``stats``, ``--json`` for machines) or empty
   (``clear``) a result cache directory.
 * ``compare``  — race all primary models on one workload.
@@ -128,7 +122,7 @@ def _print_simulate_json(args, results, instructions=None) -> None:
 
 
 def _render_cell_grid(report, models, scale) -> str:
-    """The cycles-per-cell table shared by ``sweep`` and ``submit``.
+    """The cycles-per-cell table printed by ``sweep``.
 
     Failed cells show the exception class in place of a cycle count.
     """
@@ -262,118 +256,6 @@ def _cmd_cache(args) -> int:
         removed = store.clear()
         print(f"removed {removed} cached result(s) from {store.root}")
     return 0
-
-
-def _cmd_serve(args) -> int:
-    import asyncio
-
-    from .service import DEFAULT_PORT, SweepService, serve_async
-
-    port = DEFAULT_PORT if args.port is None else args.port
-    service = SweepService(jobs=args.parallel,
-                           results_cache=args.results_cache,
-                           cache_max_bytes=args.cache_max_bytes,
-                           timeout=args.timeout)
-    try:
-        asyncio.run(serve_async(service, args.host, port,
-                                port_file=args.port_file))
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-def _build_submit_spec(args):
-    from .service.spec import JobSpec
-
-    if args.spec:
-        import json
-
-        with open(args.spec) as handle:
-            return JobSpec.from_dict(json.load(handle))
-    models = args.models
-    workloads = args.workloads
-    scale = args.scale
-    if args.smoke:
-        # Same grid as `repro sweep --smoke`, so their caches interop.
-        models = models or ["inorder", "multipass"]
-        workloads = workloads or ["vpr", "parser"]
-        scale = scale if scale is not None else 0.05
-    models = models or sorted(MODEL_FACTORIES)
-    workloads = workloads or list(ALL_WORKLOADS)
-    scale = scale if scale is not None else 1.0
-    return JobSpec(workloads=tuple(workloads), models=tuple(models),
-                   scale=scale, timeout=args.timeout)
-
-
-def _format_event(event) -> str:
-    kind = event.get("kind")
-    if kind == "job":
-        return (f"job {event.get('id')}: {event.get('cells')} cell(s) "
-                f"on {event.get('workers')} worker(s) "
-                f"[key {str(event.get('key', ''))[:12]}]")
-    if kind == "cell":
-        source = "dedup" if event.get("dedup") else event.get("source")
-        detail = (f"{event.get('duration', 0.0):.2f}s"
-                  if event.get("status") == "ok"
-                  else str(event.get("error")))
-        return (f"  {event.get('workload')}/{event.get('model')}: "
-                f"{event.get('status')} via {source} ({detail})")
-    if kind == "done":
-        return (f"job {event.get('id')}: done in "
-                f"{event.get('elapsed', 0.0):.1f}s")
-    return str(event)
-
-
-def _cmd_submit(args) -> int:
-    import json
-
-    from .service import DEFAULT_PORT, ServiceClient, ServiceError
-    from .service.spec import SpecError
-
-    try:
-        spec = _build_submit_spec(args)
-    except (OSError, ValueError) as err:  # SpecError is a ValueError
-        print(f"repro submit: bad spec: {err}", file=sys.stderr)
-        return 2
-
-    port = DEFAULT_PORT if args.port is None else args.port
-    client = ServiceClient(args.host, port)
-    events = []
-
-    def on_event(event):
-        if args.json:
-            events.append(event)
-        elif args.follow:
-            print(_format_event(event), flush=True)
-
-    try:
-        report = client.run(spec, on_event=on_event)
-    except (ServiceError, SpecError) as err:
-        print(f"repro submit: {err}", file=sys.stderr)
-        return 1
-
-    if args.json:
-        doc = {
-            "job": report.job_id,
-            "key": report.job_key,
-            "events": events,
-            "report": {
-                "cells": report.cells,
-                "simulated": report.simulated,
-                "cache_hits": report.cache_hits,
-                "deduped": report.deduped,
-                "failures": len(report.failures),
-                "elapsed": report.elapsed,
-            },
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        if args.follow:
-            print()
-        print(_render_cell_grid(report, list(spec.models), spec.scale))
-        print()
-        print(report.summary())
-    return 1 if report.failures else 0
 
 
 def _cmd_lint(args) -> int:
@@ -689,49 +571,6 @@ def main(argv=None) -> int:
                        help="hotspot rows per cell with --profile "
                             "(default 10)")
     bench.set_defaults(fn=_cmd_bench)
-
-    serve = sub.add_parser("serve")
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="interface to bind (default: loopback)")
-    serve.add_argument("--port", type=int, default=None,
-                       help="port to bind (0 = pick a free one; "
-                            "default: 8734)")
-    serve.add_argument("--port-file", metavar="FILE", default=None,
-                       help="write the bound port here once listening "
-                            "(rendezvous for --port 0)")
-    serve.add_argument("--timeout", type=float, default=None,
-                       help="default per-cell wall-clock budget in "
-                            "seconds (specs may override)")
-    serve.add_argument("--cache-max-bytes", metavar="SIZE", default=None,
-                       help="LRU size bound for the result cache, e.g. "
-                            "512M or 2GiB (default: unbounded)")
-    _add_engine_flags(serve)
-    serve.set_defaults(fn=_cmd_serve)
-
-    submit = sub.add_parser("submit")
-    submit.add_argument("--spec", metavar="FILE", default=None,
-                        help="JSON job spec file (overrides the grid "
-                             "flags below)")
-    submit.add_argument("--models", nargs="+",
-                        choices=sorted({**MODEL_FACTORIES,
-                                        **ABLATION_FACTORIES}))
-    submit.add_argument("--workloads", nargs="+", choices=ALL_WORKLOADS)
-    submit.add_argument("--scale", type=float, default=None)
-    submit.add_argument("--timeout", type=float, default=None,
-                        help="per-cell wall-clock budget in seconds")
-    submit.add_argument("--smoke", action="store_true",
-                        help="the check.sh smoke grid: inorder+multipass "
-                             "on vpr+parser at scale 0.05")
-    submit.add_argument("--host", default="127.0.0.1",
-                        help="service host (default: loopback)")
-    submit.add_argument("--port", type=int, default=None,
-                        help="service port (default: 8734)")
-    submit.add_argument("--follow", action="store_true",
-                        help="print each event as the job streams")
-    submit.add_argument("--json", action="store_true",
-                        help="emit the full event stream and report "
-                             "as JSON")
-    submit.set_defaults(fn=_cmd_submit)
 
     cache_parser = sub.add_parser("cache")
     cache_parser.add_argument("action", choices=("stats", "clear"))

@@ -312,15 +312,6 @@ class SweepReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def failure_lines(self) -> List[str]:
-        """One rendered row per failed cell (exception class, cell id,
-        retry count) — shared with the service client's report."""
-        return [
-            f"  FAILED {failure.workload}/{failure.model} after "
-            f"{failure.attempts} attempt(s): {failure.error}"
-            for failure in self.failures
-        ]
-
     def summary(self) -> str:
         rate = (f", {self.cells / self.elapsed:.1f} cells/s"
                 if self.elapsed > 0 else "")
@@ -330,7 +321,10 @@ class SweepReport:
             f"{self.simulated} simulated, "
             f"{self.cache_hits} from cache, {len(self.failures)} failed"
         ]
-        lines.extend(self.failure_lines())
+        lines.extend(
+            f"  FAILED {failure.workload}/{failure.model} after "
+            f"{failure.attempts} attempt(s): {failure.error}"
+            for failure in self.failures)
         return "\n".join(lines)
 
     def raise_on_failure(self) -> None:
@@ -377,9 +371,11 @@ def sweep(models: Sequence[str],
     config = config or MachineConfig()
     compile_options = compile_options or CompileOptions()
 
+    # A repeated name would otherwise simulate its cells twice.
+    models = list(dict.fromkeys(models))
     specs = [CellSpec(workload, model, scale, compile_options, config,
                       max_instructions, telemetry=telemetry, audit=audit)
-             for workload in workloads for model in models]
+             for workload in dict.fromkeys(workloads) for model in models]
     matrix = Matrix(scale=scale)
     report = SweepReport(matrix=matrix, cells=len(specs), jobs=jobs)
 

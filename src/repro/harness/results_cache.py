@@ -19,14 +19,9 @@ Corrupt or unreadable entries are treated as misses and removed, so a
 killed writer can never poison later sweeps; writes go through a
 temporary file and ``os.replace`` so concurrent readers only ever see
 complete entries.  The same discipline (plus an advisory ``flock``)
-protects the lifetime-counter sidecar ``_stats.json``, so many
-processes — e.g. the sweep service's worker fleet plus ad-hoc CLI
-sweeps — can share one cache directory without corrupting it.
-
-A cache may be **size-bounded** (``max_bytes``): whenever a store
-pushes the total entry size over the bound, least-recently-*used*
-entries are evicted until it fits again.  Hits refresh an entry's
-mtime, so the eviction order is true LRU, not insertion order.
+protects the lifetime-counter sidecar ``_stats.json``, so concurrent
+``repro sweep`` processes can share one cache directory without
+corrupting it.
 """
 
 from __future__ import annotations
@@ -41,7 +36,7 @@ import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 try:
     import fcntl
@@ -53,42 +48,6 @@ CACHE_FORMAT_VERSION = 1
 
 #: Environment variable that supplies a default cache directory.
 CACHE_ENV_VAR = "REPRO_RESULTS_CACHE"
-
-#: Multipliers for the ``parse_size`` suffixes (case-insensitive).
-_SIZE_SUFFIXES = {"": 1, "b": 1,
-                  "k": 1024, "kb": 1024, "kib": 1024,
-                  "m": 1024 ** 2, "mb": 1024 ** 2, "mib": 1024 ** 2,
-                  "g": 1024 ** 3, "gb": 1024 ** 3, "gib": 1024 ** 3,
-                  "t": 1024 ** 4, "tb": 1024 ** 4, "tib": 1024 ** 4}
-
-
-def parse_size(value: Union[None, int, str]) -> Optional[int]:
-    """A byte count from an int or a human string (``"512M"``, ``"2GiB"``).
-
-    ``None`` stays ``None`` (no bound); anything unparseable raises
-    ``ValueError`` so a typoed CLI flag fails loudly instead of
-    silently unbounding the cache.
-    """
-    if value is None:
-        return None
-    if isinstance(value, int):
-        if value <= 0:
-            raise ValueError(f"size bound must be positive, got {value}")
-        return value
-    text = value.strip().lower()
-    number = text.rstrip("kmgtib")
-    suffix = text[len(number):]
-    if suffix not in _SIZE_SUFFIXES:
-        raise ValueError(f"unknown size suffix in {value!r}")
-    try:
-        count = float(number)
-    except ValueError:
-        raise ValueError(f"cannot parse size {value!r}") from None
-    result = int(count * _SIZE_SUFFIXES[suffix])
-    if result <= 0:
-        raise ValueError(f"size bound must be positive, got {value!r}")
-    return result
-
 
 def human_bytes(size: Union[int, float]) -> str:
     """``1536`` -> ``"1.5 KiB"`` (plain ``"n B"`` below one KiB)."""
@@ -182,7 +141,6 @@ class CacheStats:
     misses: int = 0
     stores: int = 0
     errors: int = 0
-    evictions: int = 0
 
     @property
     def lookups(self) -> int:
@@ -190,13 +148,11 @@ class CacheStats:
 
     def summary(self) -> str:
         return (f"{self.hits} hit(s), {self.misses} miss(es), "
-                f"{self.stores} store(s), {self.errors} error(s), "
-                f"{self.evictions} eviction(s)")
+                f"{self.stores} store(s), {self.errors} error(s)")
 
     def to_dict(self) -> dict:
         return {"hits": self.hits, "misses": self.misses,
-                "stores": self.stores, "errors": self.errors,
-                "evictions": self.evictions}
+                "stores": self.stores, "errors": self.errors}
 
 
 class ResultsCache:
@@ -208,16 +164,14 @@ class ResultsCache:
     _STATS_FILE = "_stats.json"
     #: Sidecar lock serializing read-modify-write of the stats file.
     _LOCK_FILE = "_stats.lock"
-    _LIFETIME_KEYS = ("hits", "misses", "stores", "errors", "evictions")
+    _LIFETIME_KEYS = ("hits", "misses", "stores", "errors")
 
     def __init__(self, root: Union[str, Path],
-                 tree_digest: Optional[str] = None,
-                 max_bytes: Union[None, int, str] = None):
+                 tree_digest: Optional[str] = None):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.tree_digest = (tree_digest if tree_digest is not None
                             else source_digest())
-        self.max_bytes = parse_size(max_bytes)
         self.stats = CacheStats()
 
     def _lifetime(self) -> dict:
@@ -241,10 +195,11 @@ class ResultsCache:
         """Advisory exclusive lock on the stats sidecar (best effort).
 
         ``flock`` serializes per open file description, so it excludes
-        concurrent *threads* of one process as well as other processes.
-        Platforms without ``fcntl`` fall back to unlocked read-modify-
-        write — the counters degrade to approximate there, never the
-        entries themselves (those are atomic-rename protected).
+        concurrent *threads* of one process as well as other processes,
+        such as two CLI sweeps sharing this cache directory.  Platforms
+        without ``fcntl`` fall back to unlocked read-modify-write — the
+        counters degrade to approximate there, never the entries
+        themselves (those are atomic-rename protected).
         """
         if fcntl is None:  # pragma: no cover - non-POSIX platforms
             return None
@@ -330,11 +285,6 @@ class ResultsCache:
             return None
         self.stats.hits += 1
         self._bump_lifetime(hits=1)
-        # Refresh the entry's LRU clock so hot cells survive eviction.
-        try:
-            os.utime(path)
-        except OSError:
-            pass
         return stats
 
     def put(self, key: str, stats: object) -> None:
@@ -354,44 +304,6 @@ class ResultsCache:
             raise
         self.stats.stores += 1
         self._bump_lifetime(stores=1)
-        self.evict()
-
-    def evict(self) -> int:
-        """Enforce ``max_bytes`` by removing least-recently-used entries.
-
-        Runs automatically after every :meth:`put`; callable directly
-        for maintenance.  Returns the number of entries removed (always
-        0 for unbounded caches or caches under their limit).  Entries
-        vanishing concurrently (another evictor, ``clear``) are
-        tolerated.
-        """
-        if self.max_bytes is None:
-            return 0
-        aged: List[Tuple[float, int, Path]] = []
-        total = 0
-        for path in self.entries():
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            aged.append((stat.st_mtime, stat.st_size, path))
-            total += stat.st_size
-        if total <= self.max_bytes:
-            return 0
-        removed = 0
-        for _, size, path in sorted(aged):
-            if total <= self.max_bytes:
-                break
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            removed += 1
-        if removed:
-            self.stats.evictions += removed
-            self._bump_lifetime(evictions=removed)
-        return removed
 
     def entries(self) -> Iterator[Path]:
         yield from sorted(self.root.glob("??/*.pkl"))
@@ -416,8 +328,7 @@ class ResultsCache:
         return removed
 
     def describe_dict(self) -> dict:
-        """Machine-readable cache report (``repro cache stats --json``
-        and the service ``/health`` endpoint)."""
+        """Machine-readable cache report (``repro cache stats --json``)."""
         count = 0
         size = 0
         for path in self.entries():
@@ -433,7 +344,6 @@ class ResultsCache:
             "entries": count,
             "size_bytes": size,
             "size_human": human_bytes(size),
-            "max_bytes": self.max_bytes,
             "source_digest": self.tree_digest,
             "lifetime": life,
             "lifetime_hit_rate": (life["hits"] / lookups
@@ -446,32 +356,25 @@ class ResultsCache:
         life = doc["lifetime"]
         lookups = life["hits"] + life["misses"]
         rate = (f"{life['hits'] / lookups:.1%}" if lookups else "n/a")
-        bound = (human_bytes(self.max_bytes)
-                 if self.max_bytes is not None else "unbounded")
         return "\n".join([
             f"results cache at {self.root}",
             f"  entries:       {doc['entries']}",
             f"  size:          {doc['size_human']} "
-            f"({doc['size_bytes']} bytes, limit {bound})",
+            f"({doc['size_bytes']} bytes)",
             f"  source digest: {self.tree_digest[:16]}…",
             f"  lifetime:      {life['hits']} hit(s) / {lookups} "
             f"lookup(s) — {rate} hit rate, {life['stores']} store(s), "
-            f"{life['errors']} error(s), {life['evictions']} "
-            f"eviction(s)",
+            f"{life['errors']} error(s)",
             f"  this session:  {self.stats.summary()}",
         ])
 
 
-def resolve_results_cache(
-        value: Union[None, str, Path, ResultsCache],
-        max_bytes: Union[None, int, str] = None,
-) -> Optional[ResultsCache]:
+def resolve_results_cache(value: Union[None, str, Path, ResultsCache]
+                          ) -> Optional[ResultsCache]:
     """Normalize a cache argument; ``None`` falls back to $REPRO_RESULTS_CACHE.
 
     Returns ``None`` when caching is disabled (no argument and no
     environment default), so callers can use plain truthiness.
-    ``max_bytes`` applies only when a new store is constructed here —
-    an already-built :class:`ResultsCache` keeps its own bound.
     """
     if isinstance(value, ResultsCache):
         return value
@@ -479,11 +382,11 @@ def resolve_results_cache(
         value = os.environ.get(CACHE_ENV_VAR) or None
         if value is None:
             return None
-    return ResultsCache(value, max_bytes=max_bytes)
+    return ResultsCache(value)
 
 
 __all__: Tuple[str, ...] = (
     "CACHE_ENV_VAR", "CACHE_FORMAT_VERSION", "CacheStats", "ResultsCache",
-    "canonical", "cell_key", "fingerprint", "human_bytes", "parse_size",
+    "canonical", "cell_key", "fingerprint", "human_bytes",
     "resolve_results_cache", "source_digest",
 )

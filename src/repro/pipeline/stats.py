@@ -106,36 +106,6 @@ class SimStats:
             }
         return out
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SimStats":
-        """Inverse of :meth:`to_dict`: rebuild a bit-identical run.
-
-        The sweep service ships stats over the wire as ``to_dict``
-        JSON; clients reconstruct real :class:`SimStats` so dataclass
-        equality against a locally simulated run keeps meaning
-        bit-for-bit identity.  Values are taken as-is (JSON round-trips
-        ints and floats exactly); the derived ``ipc`` field is ignored.
-        """
-        breakdown = {category: doc["cycle_breakdown"][category.value]
-                     for category in StallCategory}
-        memory = None
-        raw = doc.get("memory")
-        if raw is not None:
-            memory = HierarchyStats(
-                accesses=dict(raw["accesses"]),
-                misses=dict(raw["misses"]),
-                memory_accesses=raw["memory_accesses"],
-                mshr_merges=raw["mshr_merges"],
-                mshr_full_stall_cycles=raw.get(
-                    "mshr_full_stall_cycles", 0))
-        return cls(model=doc["model"], workload=doc["workload"],
-                   cycles=doc["cycles"],
-                   instructions=doc["instructions"],
-                   cycle_breakdown=breakdown,
-                   counters=Counter(doc.get("counters", {})),
-                   memory=memory,
-                   branch_accuracy=doc["branch_accuracy"])
-
     def summary(self) -> str:
         parts = [f"{self.model}/{self.workload}: {self.cycles} cycles,"
                  f" IPC {self.ipc:.2f}"]

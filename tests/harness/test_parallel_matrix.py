@@ -145,3 +145,12 @@ def test_pool_sweep_decodes_once_per_workload_cell(tmp_path, monkeypatch):
     for workload in WORKLOADS:
         assert builds[workload] == 1, (workload, builds)
         assert len(pids[workload]) == 1, (workload, pids)
+
+
+def test_duplicate_names_simulate_each_cell_once():
+    report = sweep(("inorder", "inorder"), ("vpr", "vpr"), scale=SCALE)
+    assert report.ok
+    assert report.cells == (report.simulated + report.cache_hits
+                            + len(report.failures))
+    assert report.cells == 1
+    assert list(report.matrix.results) == [("vpr", "inorder")]
