@@ -69,9 +69,12 @@ def make_model(model: str, trace: Trace,
                check: bool = False, tracer=None, slow: bool = False):
     """Instantiate one named model (including ablations) over a trace.
 
-    ``tracer`` attaches a :class:`~repro.telemetry.events.Tracer` for
-    cycle-level event tracing; the default (off) costs one attribute
-    check per instrumentation site and leaves stats bit-identical.
+    ``tracer`` attaches a recorder: a
+    :class:`~repro.telemetry.timeline.Timeline` (recorded on the
+    production kernels) or an event
+    :class:`~repro.telemetry.events.Tracer` (scalar reference loops);
+    the default (off) costs one flag check per recording site, and
+    stats are bit-identical either way.
     ``slow`` selects the cycle-by-cycle reference loop (no stall
     fast-forwarding) — the differential baseline for the fast path.
     """

@@ -41,6 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import multiprocessing
 
 from ..compiler import CompileOptions
+from ..isa.trace import Trace
 from ..machine import MachineConfig
 from ..pipeline import SimStats
 from ..workloads import ALL_WORKLOADS
@@ -131,8 +132,12 @@ _WORKER_TRACES: Dict[Tuple[float, str, int], TraceCache] = {}
 #: decode-amortization test pins.
 _DECODE_BUILDS: Dict[Tuple[str, float], int] = {}
 
+#: The trace this process's previous cell ran on.
+_LAST_TRACE: Optional[Trace] = None
+
 
 def _worker_trace(spec: CellSpec):
+    global _LAST_TRACE
     key = (spec.scale, fingerprint(spec.compile_options),
            spec.max_instructions)
     cache = _WORKER_TRACES.get(key)
@@ -141,6 +146,16 @@ def _worker_trace(spec: CellSpec):
                            max_instructions=spec.max_instructions)
         _WORKER_TRACES[key] = cache
     trace = cache.trace(spec.workload)
+    previous = _LAST_TRACE
+    if previous is not trace:
+        # Cells arrive workload by workload, so the columns the kernels
+        # built on the previous trace (dependence graphs, event pairs,
+        # fetch runs: about 400 bytes per instruction) are dead weight
+        # from here on; drop them so a sweep holds one workload's worth
+        # at a time.  A later revisit rebuilds them on demand.
+        if previous is not None and previous._decoded is not None:
+            previous._decoded._columns = None
+        _LAST_TRACE = trace
     if trace._decoded is None:
         # Eager decode + column prebuild: the decoded cache and the
         # shared issue columns (with the CSR dependence graphs hanging
@@ -158,21 +173,21 @@ def _worker_trace(spec: CellSpec):
 def simulate_cell(spec: CellSpec) -> SimStats:
     """The production cell runner: build/reuse the trace, run the model.
 
-    With ``spec.telemetry`` set, the run is traced into an aggregating
-    :class:`~repro.telemetry.metrics.MetricsSink` (bounded memory, no
-    event storage) and a ``(stats, summary)`` tuple is returned; the
+    With ``spec.telemetry`` set, the run records a
+    :class:`~repro.telemetry.timeline.Timeline` (on the production
+    kernel) and a ``(stats, summary)`` tuple is returned, the summary
+    being its :class:`~repro.telemetry.metrics.MetricsSink` view; the
     stats themselves are bit-identical to an untraced run.
     """
     trace = _worker_trace(spec)
     if not spec.telemetry:
         stats, telemetry = run_model(spec.model, trace, spec.config), None
     else:
-        from ..telemetry import MetricsSink, Tracer
+        from ..telemetry import MetricsSink, Timeline
 
-        sink = MetricsSink()
-        stats = run_model(spec.model, trace, spec.config,
-                          tracer=Tracer(sink))
-        telemetry = sink.summary()
+        timeline = Timeline()
+        stats = run_model(spec.model, trace, spec.config, tracer=timeline)
+        telemetry = MetricsSink(timeline).summary()
     if spec.audit:
         from ..analysis.audit import check_bound
 
@@ -352,8 +367,8 @@ def sweep(models: Sequence[str],
     Failed cells (after ``retries`` extra attempts each) appear in
     ``report.failures`` and are absent from ``report.matrix``.
 
-    ``telemetry=True`` traces every simulated cell into an aggregating
-    metrics sink and records the per-cell summaries in
+    ``telemetry=True`` records a timeline of every simulated cell on
+    its production kernel and keeps the per-cell summaries in
     ``report.telemetry``.  Summaries require a live simulation, so
     telemetry sweeps skip result-cache *reads* (fresh results are still
     stored); stats remain bit-identical, keeping the cache safe.

@@ -1,7 +1,7 @@
 """Event-driven columnar kernel for the multipass-family cores.
 
 Drop-in replacement for the scalar cycle loop in
-:mod:`repro.multipass.core` (kept there as the ``--slow``/traced/
+:mod:`repro.multipass.core` (kept there as the ``--slow``/event-tracer/
 ``record_modes`` reference): same machine, same statistics,
 bit-identical cycle counts and stall attribution, but the per-cycle
 *work* is restructured around preallocated flat columns, following the
@@ -54,6 +54,13 @@ differential suites (``tests/property/test_columnar.py``,
 ``tests/property/test_fast_path.py``), the idle-skip boundary sweep
 and the golden matrix pin all of this against the scalar loop; see
 ``docs/architecture.md`` §13.
+
+Recording: a core whose tracer is a
+:class:`~repro.telemetry.timeline.Timeline` runs this kernel too.  The
+kernel records the scalar loop's timeline exactly — fetch groups, issues
+(advance and architectural), commits, merges, restarts, misses, stall
+charges and mode changes — behind one ``rec`` flag fixed at entry; the
+skips and bulk paths record their replayed cycles as spans and groups.
 """
 
 from __future__ import annotations
@@ -73,9 +80,10 @@ _INF = 1 << 62
 def run_columnar(core, max_cycles: int) -> SimStats:
     """Run a :class:`~repro.multipass.core.MultipassCore` to completion.
 
-    ``core`` must be freshly constructed, un-traced, not in ``--slow``
-    mode and not recording modes (the caller routes those to the scalar
-    reference loop).
+    ``core`` must be freshly constructed, not in ``--slow`` mode, not
+    recording modes, and either un-traced or recording into a
+    :class:`~repro.telemetry.timeline.Timeline` (the caller routes the
+    rest to the scalar reference loop).
     """
     trace = core.trace
     entries = trace.entries
@@ -282,6 +290,20 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     n_refills = 0
     now = 0
 
+    # Timeline recording, decided here once: ``rec`` guards every
+    # recording site (see docs/architecture.md §13 for what each one
+    # records and where the scalar loop records the same thing).
+    tl = core.tracer if core.tracer.enabled else None
+    rec = tl is not None
+    if rec:
+        tl_charge = tl.charge
+        tl_miss = tl.cache_miss
+        l1d_name = l1d_cache.config.name
+        from .core import Mode
+        mode_names = (Mode.ARCHITECTURAL.value, Mode.ADVANCE.value,
+                      Mode.RALLY.value)
+        recorded_mode = -1             # no mode span open yet
+
     while arch_ptr < n:
         if now > max_cycles:
             core.check_cycle_budget(now, max_cycles)
@@ -295,7 +317,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                 stop = f_fetched + fetch_width
                 if stop > limit:
                     stop = limit
-                fu = f_fetched
+                fu = first = f_fetched
                 last = f_last
                 while fu < stop:
                     line = f_lines[fu]
@@ -349,6 +371,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                 else:
                     f_last = last
                     f_fetched = fu
+                if rec and f_fetched > first:
+                    tl.fetch_many(now, range(first, f_fetched))
 
         if mode == 1 and now >= trigger_ready:
             # Rally entry: unlatch the architectural stream (one pass
@@ -368,8 +392,12 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                 if t > arch_stall_until:
                     arch_stall_until = t
                 n_refills += 1
+        if rec and mode != recorded_mode:
+            # The mode occupying this cycle; skips never cross a change.
+            tl.mode(now, mode_names[mode])
+            recorded_mode = mode
 
-        elif mode == 1:
+        if mode == 1:
             # ---- advance-mode issue (one cycle) -----------------------
             new_execs = 0
             wake = _INF
@@ -420,6 +448,15 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             if not left:
                                 left = width
                                 cyc += 1
+                        if rec:
+                            for k in range(count):
+                                seq = adv_ptr + k
+                                tl.rs_hit(now + k // width, seq, d_pc[seq],
+                                          "advance")
+                            # Merges are not executions: every replayed
+                            # cycle is charged to the trigger load.
+                            tl_charge(now, LOAD, trigger_seq,
+                                      d_pc[trigger_seq], cycles)
                         adv_ptr += count
                         if adv_ptr > max_peek:
                             max_peek = adv_ptr
@@ -470,6 +507,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             sp_state[dest] = sA
                             srf_ready[dest] = now
                         n_advance_merges += 1
+                        if rec:
+                            tl.rs_hit(now, seq, d_pc[seq], "advance")
                         adv_ptr = seq + 1
                         slots += 1
                         continue
@@ -523,6 +562,9 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                                     refill = alt
                             adv_stall_until = refill
                             n_advance_restarts += 1
+                            if rec:
+                                tl.restart(now, trigger_seq,
+                                           d_pc[trigger_seq])
                             wake = None
                             peeks = 0
                             restarted = True
@@ -644,6 +686,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                         b_used += 1
 
                     n_advance_execs += 1
+                    if rec:
+                        tl.issue(now, seq, d_pc[seq], "advance")
                     k = d_kind[seq]
                     if k == 1:
                         # Predicate-nullified: flows through.
@@ -756,6 +800,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                                 lat = (fill_wait
                                        if fill_wait > l1d_latency
                                        else l1d_latency)
+                                if rec:
+                                    tl_miss(now, seq, d_pc[seq], l1d_name)
                             else:
                                 l1_miss = False
                                 lat = l1d_latency
@@ -771,6 +817,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             h_horizon = hierarchy._pending_horizon
                             l1_miss = result.l1_miss
                             res_ready = result.ready
+                            if rec and l1_miss:
+                                tl_miss(now, seq, d_pc[seq], result.level)
                         n_advance_loads += 1
                         if outcome == 1:       # ASC hit: forward
                             for dest in d_dests[seq]:
@@ -915,16 +963,23 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             adv_stall_until = refill
                             n_advance_restarts += 1
                             n_hw_restarts += 1
+                            if rec:
+                                tl.restart(now, trigger_seq,
+                                           d_pc[trigger_seq])
                             wake = None
 
             if adv_ptr > max_peek:
                 max_peek = adv_ptr
             if new_execs:
                 c_exec += 1
+                if rec:
+                    tl_charge(now, EXECUTION)
             else:
                 # No new executions: the cycle belongs to the latency
                 # that initiated advance mode.
                 c_load += 1
+                if rec:
+                    tl_charge(now, LOAD, trigger_seq, d_pc[trigger_seq])
             n_advance_cycles += 1
             now += 1
             if wake is not None and not new_execs:
@@ -950,11 +1005,16 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                         n_advance_cycles += k
                         if peeks:
                             n_iq_peeks += peeks * k
+                        if rec:
+                            tl_charge(now, LOAD, trigger_seq,
+                                      d_pc[trigger_seq], k)
                         now = skip_to
             continue
 
         if now < arch_stall_until:
             c_other += 1
+            if rec:
+                tl_charge(now, OTHER)
             now += 1
             if arch_stall_until > now:
                 limit = arch_ptr + buffer_size
@@ -971,6 +1031,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                     skip_to = arch_stall_until
                 if skip_to > now:
                     c_other += skip_to - now
+                    if rec:
+                        tl_charge(now, OTHER, cycles=skip_to - now)
                     now = skip_to
             continue
 
@@ -1004,7 +1066,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             stop = f_fetched + fetch_width
                             if stop > limit:
                                 stop = limit
-                            fu = f_fetched
+                            fu = first = f_fetched
                             last = f_last
                             while fu < stop:
                                 line = f_lines[fu]
@@ -1058,6 +1120,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             else:
                                 f_last = last
                                 f_fetched = fu
+                            if rec and f_fetched > first:
+                                tl.fetch_many(cyc, range(first, f_fetched))
                     for seq in range(aptr, aptr + width):
                         rs_live[seq] = 0
                         if replay is not None:
@@ -1065,6 +1129,10 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                         for dest in d_dests[seq]:
                             reg_ready[dest] = cyc
                             pending[dest] = 0
+                    if rec:
+                        for seq in range(aptr, aptr + width):
+                            tl.rs_hit(cyc, seq, d_pc[seq], "rally")
+                        tl.commit_many(cyc, range(aptr, aptr + width))
                     aptr += width
                     cyc += 1
                 count = cycles * width
@@ -1075,6 +1143,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                 arch_ptr = aptr
                 n_rally_cycles += cycles
                 c_exec += cycles
+                if rec:
+                    tl_charge(now, EXECUTION)
                 now = cyc
                 continue
 
@@ -1115,6 +1185,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                     n_instructions += 1
                     if replay is not None:
                         replay.commit(entries[seq])
+                    if rec:
+                        tl.rs_hit(now, seq, d_pc[seq], "rally")
                     for dest in d_dests[seq]:
                         reg_ready[dest] = now
                         pending[dest] = 0
@@ -1181,6 +1253,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                         l1_miss = True
                         latency = (fill_wait if fill_wait > l1d_latency
                                    else l1d_latency)
+                        if rec:
+                            tl_miss(now, seq, d_pc[seq], l1d_name)
                     else:
                         l1_miss = False
                         latency = l1d_latency
@@ -1195,6 +1269,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                     h_horizon = hierarchy._pending_horizon
                     latency = result.latency
                     l1_miss = result.l1_miss
+                    if rec and l1_miss:
+                        tl_miss(now, seq, d_pc[seq], result.level)
                 n_instructions += 1
                 if replay is not None:
                     replay.commit(entries[seq])
@@ -1295,6 +1371,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             latency = (fill_wait
                                        if fill_wait > l1d_latency
                                        else l1d_latency)
+                            if rec:
+                                tl_miss(now, seq, d_pc[seq], l1d_name)
                         else:
                             latency = l1d_latency
                     else:
@@ -1310,6 +1388,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                         n_loads += 1
                         if l1_miss:
                             n_load_misses += 1
+                            if rec:
+                                tl_miss(now, seq, d_pc[seq], result.level)
                     else:
                         access(addr, now, kind="store")
                         mem_vals[addr] = d_value[seq]
@@ -1353,6 +1433,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
             n_instructions += 1
             if replay is not None:
                 replay.commit(entries[seq])
+            if rec:
+                tl.issue(now, seq, d_pc[seq])
             issued += 1
             aptr = seq + 1
             if d_branch[seq]:
@@ -1388,6 +1470,9 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                     break
             if d_stop[seq] and not dynamic_groups:
                 break
+        if rec and aptr > arch_ptr:
+            # Every dequeued slot commits: merge, verification or issue.
+            tl.commit_many(now, range(arch_ptr, aptr))
         arch_ptr = aptr
         # ---- end issue loop -------------------------------------------
 
@@ -1411,6 +1496,16 @@ def run_columnar(core, max_cycles: int) -> SimStats:
             c_load += 1
         else:
             c_other += 1
+        if rec:
+            if issued:
+                tl_charge(now, EXECUTION)
+            else:
+                stalled = (FRONT_END if front_end_stall
+                           else LOAD if reason_load else OTHER)
+                if aptr < n:
+                    tl_charge(now, stalled, aptr, d_pc[aptr])
+                else:
+                    tl_charge(now, stalled)
         now += 1
 
         if trigger >= 0 and wait_until > now:
@@ -1457,6 +1552,12 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                         n_iq_dequeues += k
                     if waw_poll:
                         n_waw_stalls += k
+                    if rec:
+                        # Same site as the cycle charged just above.
+                        if aptr < n:
+                            tl_charge(now, stalled, aptr, d_pc[aptr], k)
+                        else:
+                            tl_charge(now, stalled, cycles=k)
                     now = skip_to
 
     # ---- write-back ---------------------------------------------------

@@ -28,8 +28,10 @@ The simulation loop has a fast path (see
 provably pure polls — nothing can change before a known wake-up cycle —
 are charged as one span with the per-cycle poll counters replicated, so
 stats stay bit-identical to the cycle-by-cycle loop.  ``slow=True``
-disables the skips; tracing and ``record_modes`` also force the per-cycle
-loop because they observe every cycle.
+disables the skips; an event tracer and ``record_modes`` also force the
+per-cycle loop because they observe every cycle (a
+:class:`~repro.telemetry.timeline.Timeline` records on the columnar
+kernel instead).
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from ..isa.trace import Trace, TraceEntry
 from ..machine import MachineConfig
 from ..pipeline.base import BaseCore
 from ..pipeline.stats import SimStats, StallCategory
+from ..telemetry.events import Tracer
 from .asc import (HIT, HIT_INVALID, INVALID, MISS_SPECULATIVE,
                   AdvanceStoreCache)
 from .columnar import run_columnar
@@ -715,14 +718,19 @@ class MultipassCore(BaseCore):
     # ------------------------------------------------------------------
 
     def run(self, max_cycles: int = 500_000_000) -> SimStats:
-        # The columnar kernel requires that nothing observes individual
-        # cycles: tracing emits a per-cycle mode event and record_modes
-        # logs one, so both (and --slow) route to the scalar reference
-        # loop below (stats are bit-identical either way — the
-        # differential suite pins it).  An instance-level override of
-        # the advance-issue hook (how tests instrument the per-cycle
-        # advance stream) is likewise a per-cycle observer.
-        if (self.slow or self.tracer.enabled or self.record_modes
+        """Route to the columnar kernel or the scalar reference loop.
+
+        The columnar kernel (:mod:`repro.multipass.columnar`) is the
+        production path, untraced or recording into a
+        :class:`~repro.telemetry.timeline.Timeline`.  The scalar loop
+        below is the bit-identity reference; it serves ``--slow``, an
+        event :class:`~repro.telemetry.events.Tracer` (``repro trace``),
+        ``record_modes`` (which logs every cycle) and an instance-level
+        override of the advance-issue hook (how tests instrument the
+        per-cycle advance stream).  Stats are bit-identical either way —
+        the differential suites pin it.
+        """
+        if (self.slow or isinstance(self.tracer, Tracer) or self.record_modes
                 or "_issue_advance_cycle" in self.__dict__):
             return self._run_scalar(max_cycles)
         return run_columnar(self, max_cycles)

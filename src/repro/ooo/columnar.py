@@ -1,7 +1,9 @@
 """Event-driven columnar kernel for the out-of-order cores (gen 2).
 
 Drop-in replacement for the scalar cycle loop in
-:mod:`repro.ooo.core` (kept there as the ``--slow``/traced reference):
+:mod:`repro.ooo.core` (kept there as the ``--slow``/event-tracer
+reference; a :class:`~repro.telemetry.timeline.Timeline` records on
+this kernel, behind one ``rec`` flag fixed at entry):
 same machine, same statistics, bit-identical cycle counts and stall
 attribution, but the per-cycle *work* is restructured around
 preallocated flat columns and a shared event calendar
@@ -116,8 +118,10 @@ _INF = 1 << 62
 def run_columnar(core, max_cycles: int) -> SimStats:
     """Run an :class:`~repro.ooo.core.OutOfOrderCore` to completion.
 
-    ``core`` must be freshly constructed, un-traced and not in ``--slow``
-    mode (the caller routes those to the scalar reference loop).
+    ``core`` must be freshly constructed, not in ``--slow`` mode and
+    either un-traced or recording into a
+    :class:`~repro.telemetry.timeline.Timeline` (the caller routes the
+    rest to the scalar reference loop).
     """
     trace = core.trace
     entries = trace.entries
@@ -222,6 +226,20 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     OTHER = StallCategory.OTHER
     c_exec = c_fe = c_load = c_other = 0
     n_loads = n_load_misses = n_mispredicts = n_commits = 0
+
+    # Timeline recording, decided here once: ``rec`` guards every
+    # recording site (see docs/architecture.md §13 for what each one
+    # records and where the scalar loop records the same thing).
+    tl = core.tracer if core.tracer.enabled else None
+    rec = tl is not None
+    if rec:
+        tl_charge = tl.charge
+        tl_miss = tl.cache_miss
+        l1d_name = l1d_cache.config.name
+        l2_name = l2_cache.config.name
+        # Seqs issued after a port-starved skip (middle deletes) this
+        # cycle; the rest of the cycle's issues are a ready-queue slice.
+        skipped_issues: list = []
 
     replay = core.replay
     queue_cap = core.decentralized_queues
@@ -347,7 +365,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                 stop = f_fetched + fetch_width
                 if stop > limit:
                     stop = limit
-                fu = f_fetched
+                fu = first = f_fetched
                 last = f_last
                 while fu < stop:
                     line = f_lines[fu]
@@ -401,6 +419,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                 else:
                     f_last = last
                     f_fetched = fu
+                if rec and f_fetched > first:
+                    tl.fetch_many(now, range(first, f_fetched))
 
         # ---- dispatch (rename) ----------------------------------------
         dstart = dispatch_ptr
@@ -502,7 +522,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             break
             wlimit = wl_cur if wl_cur >= 0 else _INF - 1
             m_used = i_used = f_used = b_used = 0
-            i = hr
+            i = head = hr
             while i < rlen:
                 seq = rdy[i]
                 if seq > wlimit:
@@ -544,6 +564,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                     # issued seq must come out of the middle (rare).
                     del rdy[i]
                     rlen -= 1
+                    if rec:
+                        skipped_issues.append(seq)
                 n_waiting -= 1
                 if seq <= wl_cur:
                     # Issued at or below the held boundary: the
@@ -593,6 +615,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                                     latency = fill_wait
                                 else:
                                     latency = l1d_latency
+                                if rec:
+                                    tl_miss(now, seq, d_pc[seq], l1d_name)
                             else:
                                 latency = l1d_latency
                     elif d_load[seq]:
@@ -640,6 +664,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             n_loads += 1
                             n_load_misses += 1
                             load_wait[seq] = 1
+                            if rec:
+                                tl_miss(now, seq, d_pc[seq], l2_name)
                         else:
                             l1d_cache.accesses = l1d_acc
                             l1d_cache.hits = l1d_hit
@@ -654,6 +680,9 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             if result.l1_miss:
                                 n_load_misses += 1
                                 load_wait[seq] = 1
+                                if rec:
+                                    tl_miss(now, seq, d_pc[seq],
+                                            result.level)
                     else:
                         l1d_cache.accesses = l1d_acc
                         l1d_cache.hits = l1d_hit
@@ -708,6 +737,11 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                         break
                 if issued >= width:
                     break
+            if rec and issued:
+                # Issue order: the head advance, then any middle deletes
+                # (all younger than the starved entry that stopped it).
+                tl.issue_many(now, rdy[head:hr] + skipped_issues)
+                skipped_issues.clear()
             # Reclaim the consumed prefix: clear a fully-drained queue,
             # compact a long dead region.
             if hr:
@@ -780,12 +814,22 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                 replay.commit(entries[s])
                 committed += 1
         n_commits += committed
+        if rec and committed:
+            tl.commit_many(now, range(commit_ptr - committed, commit_ptr))
 
         # ---- attribution -----------------------------------------------
         if issued:
             c_exec += 1
+            if rec:
+                tl_charge(now, EXECUTION)
         elif commit_ptr == dispatch_ptr:
             c_fe += 1
+            if rec:
+                if dispatch_ptr < n:
+                    tl_charge(now, FRONT_END, dispatch_ptr,
+                              d_pc[dispatch_ptr])
+                else:
+                    tl_charge(now, FRONT_END)
         else:
             h = commit_ptr
             if not unissued[h]:
@@ -806,6 +850,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                 c_load += 1
             else:
                 c_other += 1
+            if rec:
+                tl_charge(now, cause, h, d_pc[h])
         now += 1
 
         # ---- idle fast-forward ------------------------------------------
@@ -865,6 +911,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                     c_load += skip_to - now
                 else:
                     c_other += skip_to - now
+                if rec:
+                    tl_charge(now, cause, h, d_pc[h], skip_to - now)
                 now = skip_to
 
     frontend.fetched_until = f_fetched

@@ -32,6 +32,7 @@ from ..isa.trace import Trace, TraceEntry
 from ..machine import MachineConfig
 from ..pipeline.base import BaseCore
 from ..pipeline.stats import SimStats, StallCategory
+from ..telemetry.events import Tracer
 from .columnar import run_columnar
 
 #: Sentinel wake-up target meaning "no in-flight completion at all".
@@ -103,12 +104,13 @@ class OutOfOrderCore(BaseCore):
         """Route to the columnar kernel or the scalar reference loop.
 
         The event-driven columnar kernel (:mod:`repro.ooo.columnar`) is
-        the production path; ``--slow`` and traced runs take the scalar
-        cycle loop below, which doubles as the bit-identity reference
-        (telemetry needs per-cycle event fidelity anyway).  Both paths
-        support ``--check`` replay.
+        the production path, untraced or recording into a
+        :class:`~repro.telemetry.timeline.Timeline`.  ``--slow`` and an
+        event :class:`~repro.telemetry.events.Tracer` (``repro trace``)
+        take the scalar cycle loop below, which doubles as the
+        bit-identity reference.  Both paths support ``--check`` replay.
         """
-        if self.slow or self.tracer.enabled:
+        if self.slow or isinstance(self.tracer, Tracer):
             return self._run_scalar(max_cycles)
         return run_columnar(self, max_cycles)
 

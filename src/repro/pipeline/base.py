@@ -36,9 +36,10 @@ class BaseCore:
         self.buffer_size = buffer_size
         self.hierarchy = config.hierarchy.build()
         self.predictor = GsharePredictor(config.branch_predictor_entries)
-        # Telemetry: a live Tracer, or the shared do-nothing NULL_TRACER
-        # whose ``enabled`` attribute is the only cost when tracing is
-        # off (stats are bit-identical either way — golden tests pin it).
+        # Telemetry: a live recorder (an event Tracer or a Timeline), or
+        # the shared do-nothing NULL_TRACER whose ``enabled`` attribute
+        # is the only cost when tracing is off (stats are bit-identical
+        # either way — golden tests pin it).
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.frontend = FrontEnd(trace, self.hierarchy, self.predictor,
                                  config, buffer_size, tracer=self.tracer)
@@ -164,8 +165,8 @@ class BaseCore:
 
         Under ``check=True`` the entry is validated against independent
         functional re-execution (exactly-once, in-order, on the
-        architectural path); under tracing a ``COMMIT`` event is
-        emitted; otherwise this is a no-op.
+        architectural path); under tracing the commit is recorded;
+        otherwise this is a no-op.
         """
         if self.tracer.enabled:
             self.tracer.commit(now, entry.seq, entry.inst.index)

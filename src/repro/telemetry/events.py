@@ -20,11 +20,17 @@ paper's evidence relies on:
 * ``CACHE_MISS`` — an L1-missing demand access, labelled with the
   level that served it.
 
-Overhead contract: a core holds either a live :class:`Tracer`
-(``enabled`` is True) or the shared :data:`NULL_TRACER`; every
-instrumentation site is guarded by one ``enabled`` attribute check, so
-disabled tracing costs exactly that check and nothing else.  The
-tier-1 golden tests pin that stats are bit-identical either way.
+Overhead contract: a core holds either a live recorder (``enabled`` is
+True) or the shared :data:`NULL_TRACER`; every instrumentation site is
+guarded by one ``enabled`` check, so disabled tracing costs exactly
+that check and nothing else.  The tier-1 golden tests pin that stats
+are bit-identical either way.
+
+The :class:`Tracer` is one of two backends of the recorder protocol.
+It builds an :class:`Event` per call and keeps a core on its scalar
+reference loop (``repro trace``); the other,
+:class:`~repro.telemetry.timeline.Timeline`, appends flat values and is
+recorded by the production kernels (sweep summaries and profiles).
 """
 
 from __future__ import annotations

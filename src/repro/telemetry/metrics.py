@@ -1,24 +1,25 @@
-"""Metrics registry: counters, histograms and interval timeseries.
+"""Metrics: histograms, interval timeseries and the per-cell summary.
 
-Where :mod:`repro.telemetry.sinks` stores *events*, this module
-aggregates them into bounded-size summaries that are cheap enough to
-collect for every cell of a sweep: plain counters, power-of-two-bucket
-histograms, and per-interval timeseries whose resolution adapts (by
-interval doubling) so memory stays bounded no matter how long a run is
-— the sampling knob the telemetry overhead budget relies on.
+The summaries here are cheap enough to collect for every cell of a
+sweep: plain counters, power-of-two-bucket histograms, and per-interval
+timeseries whose resolution adapts (by interval doubling) so their size
+stays bounded no matter how long a run is.
 
-:class:`MetricsSink` is the standard consumer: a telemetry sink that
-folds the event stream into a registry on the fly (no event storage)
-and renders a JSON-able :meth:`~MetricsSink.summary` — the per-cell
-payload the parallel sweep engine attaches to its report.
+:class:`MetricsSink` is the standard consumer: a view over a finished
+:class:`~repro.telemetry.timeline.Timeline` that folds it into a
+JSON-able :meth:`~MetricsSink.summary` — the per-cell payload the
+parallel sweep engine attaches to its report.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from bisect import bisect_left
+from collections import Counter
+from operator import sub
+from typing import Dict, Iterable, List
 
-from .events import Event, EventKind
-from .sinks import TelemetrySink
+from ..pipeline.stats import StallCategory
+from .timeline import Timeline
 
 
 class Histogram:
@@ -60,11 +61,11 @@ class Histogram:
 class IntervalSeries:
     """Per-interval counts over the cycle axis, with bounded points.
 
-    ``record(cycle, n)`` adds ``n`` to the interval containing
-    ``cycle``.  When a run outgrows ``max_points`` intervals the series
-    doubles its interval length and merges adjacent pairs, so the
-    memory footprint — and the per-event cost — stays O(max_points)
-    regardless of run length, at the price of coarser resolution.
+    ``points[i]`` counts the cycles recorded in ``[i * interval,
+    (i + 1) * interval)``.  The interval starts at the requested one and
+    doubles until the last recorded cycle fits in ``max_points``
+    intervals, so the size stays O(max_points) regardless of run
+    length, at the price of coarser resolution.
     """
 
     def __init__(self, interval: int = 1024, max_points: int = 256):
@@ -74,120 +75,139 @@ class IntervalSeries:
         self.max_points = max_points
         self.points: List[int] = []
 
-    def record(self, cycle: int, n: int = 1) -> None:
-        index = cycle // self.interval
-        while index >= self.max_points:
-            self._coarsen()
-            index = cycle // self.interval
-        while len(self.points) <= index:
-            self.points.append(0)
-        self.points[index] += n
+    def _fit(self, last: int) -> None:
+        """Coarsen to cover cycle ``last`` and size the points for it."""
+        while last // self.interval >= self.max_points:
+            self.interval *= 2
+        self.points = [0] * (last // self.interval + 1)
 
-    def record_span(self, start: int, cycles: int, n: int = 1) -> None:
-        """Distribute ``n`` per cycle across ``[start, start+cycles)``."""
-        end = start + cycles
-        while start < end:
-            boundary = (start // self.interval + 1) * self.interval
-            chunk = min(end, boundary) - start
-            self.record(start, chunk * n)
-            start += chunk
+    @classmethod
+    def of_cycles(cls, cycles: Iterable[int], interval: int = 1024,
+                  max_points: int = 256) -> "IntervalSeries":
+        """One count per cycle occurrence (e.g. every commit's cycle)."""
+        series = cls(interval, max_points)
+        cycles = sorted(cycles)
+        if cycles:
+            series._fit(cycles[-1])
+            step = series.interval
+            lo = 0
+            for i in range(len(series.points)):
+                hi = bisect_left(cycles, (i + 1) * step, lo)
+                series.points[i] = hi - lo
+                lo = hi
+        return series
 
-    def _coarsen(self) -> None:
-        self.interval *= 2
-        merged = []
-        for i in range(0, len(self.points), 2):
-            pair = self.points[i:i + 2]
-            merged.append(sum(pair))
-        self.points = merged
+    @classmethod
+    def of_spans(cls, starts: List[int], lengths: List[int],
+                 interval: int = 1024,
+                 max_points: int = 256) -> "IntervalSeries":
+        """One count per cycle of every span ``[start, start + length)``."""
+        series = cls(interval, max_points)
+        if starts:
+            series._fit(max(s + n for s, n in zip(starts, lengths)) - 1)
+            step = series.interval
+            points = series.points
+            for start, length in zip(starts, lengths):
+                end = start + length
+                while start < end:
+                    i = start // step
+                    boundary = (i + 1) * step
+                    chunk = (end if end < boundary else boundary) - start
+                    points[i] += chunk
+                    start += chunk
+        return series
 
     def to_dict(self) -> dict:
         return {"interval": self.interval, "points": list(self.points)}
 
 
-class MetricsRegistry:
-    """Named counters, histograms and series for one traced run."""
-
-    def __init__(self):
-        self.counters: Dict[str, int] = {}
-        self.histograms: Dict[str, Histogram] = {}
-        self.series: Dict[str, IntervalSeries] = {}
-
-    def count(self, name: str, n: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + n
-
-    def histogram(self, name: str) -> Histogram:
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = self.histograms[name] = Histogram()
-        return hist
-
-    def timeseries(self, name: str, interval: int = 1024,
-                   max_points: int = 256) -> IntervalSeries:
-        series = self.series.get(name)
-        if series is None:
-            series = self.series[name] = IntervalSeries(interval,
-                                                        max_points)
-        return series
-
-    def snapshot(self) -> dict:
-        return {
-            "counters": dict(sorted(self.counters.items())),
-            "histograms": {name: h.to_dict() for name, h
-                           in sorted(self.histograms.items())},
-            "series": {name: s.to_dict() for name, s
-                       in sorted(self.series.items())},
-        }
-
-
-class MetricsSink(TelemetrySink):
-    """Aggregate the event stream into a :class:`MetricsRegistry`.
+class MetricsSink:
+    """The per-run summary of a :class:`~repro.telemetry.timeline.Timeline`.
 
     Collected per run:
 
-    * ``events.<kind>`` counters for every event kind;
+    * ``events.<kind>`` counters, one per event a
+      :class:`~repro.telemetry.events.Tracer` would have emitted;
     * ``stall_cycles.<category>`` counters and a ``stall_span_cycles``
-      histogram (from ``STALL_END`` spans);
+      histogram (one value per stall span);
     * ``mode_cycles.<mode>`` occupancy counters;
     * ``cache_miss.<level>`` counters;
     * ``commits`` and ``issues`` interval series (per-interval IPC is
       ``points[i] / interval``) and a ``mode.<mode>`` occupancy series.
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 interval: int = 1024, max_points: int = 256):
-        super().__init__()
-        self.registry = registry or MetricsRegistry()
+    def __init__(self, timeline: Timeline, interval: int = 1024,
+                 max_points: int = 256):
+        self.timeline = timeline
         self._interval = interval
         self._max_points = max_points
-        self.last_cycle = 0
-
-    def _series(self, name: str) -> IntervalSeries:
-        return self.registry.timeseries(name, self._interval,
-                                        self._max_points)
-
-    def emit(self, event: Event) -> None:
-        reg = self.registry
-        kind = event.kind
-        reg.count(f"events.{kind.value}")
-        if event.cycle > self.last_cycle:
-            self.last_cycle = event.cycle
-        if kind is EventKind.COMMIT:
-            self._series("commits").record(event.cycle)
-        elif kind is EventKind.ISSUE:
-            self._series("issues").record(event.cycle)
-        elif kind is EventKind.STALL_END:
-            reg.count(f"stall_cycles.{event.category.value}",
-                      event.cycles)
-            reg.histogram("stall_span_cycles").record(event.cycles)
-        elif kind is EventKind.MODE:
-            reg.count(f"mode_cycles.{event.mode}", event.cycles)
-            self._series(f"mode.{event.mode}").record_span(
-                event.cycle, event.cycles)
-        elif kind is EventKind.CACHE_MISS:
-            reg.count(f"cache_miss.{event.level}")
 
     def summary(self) -> dict:
         """JSON/pickle-safe per-run payload (sweep cell attachment)."""
-        payload = self.registry.snapshot()
-        payload["last_cycle"] = self.last_cycle
-        return payload
+        tl = self.timeline
+        spans = len(tl.stall_start)
+        counts = {
+            "events.fetch": len(tl.fetch_cycle),
+            "events.issue": len(tl.issue_cycle),
+            "events.commit": len(tl.commit_cycle),
+            "events.stall_begin": spans,
+            "events.stall_end": spans,
+            "events.mode": len(tl.mode_start),
+            "events.restart": len(tl.restart_cycle),
+            "events.rs_hit": len(tl.rs_hit_cycle),
+            "events.cache_miss": len(tl.miss_cycle),
+        }
+        lengths = list(map(sub, tl.stall_end, tl.stall_start))
+        stalled: Dict[StallCategory, int] = {}
+        for category, cycles in zip(tl.stall_category, lengths):
+            stalled[category] = stalled.get(category, 0) + cycles
+        for category, cycles in stalled.items():
+            counts[f"stall_cycles.{category.value}"] = cycles
+        modes: Dict[str, tuple] = {}
+        for name, start, cycles in zip(tl.mode_name, tl.mode_start,
+                                       tl.mode_cycles):
+            key = f"mode_cycles.{name}"
+            counts[key] = counts.get(key, 0) + cycles
+            starts, spans_of = modes.setdefault(name, ([], []))
+            starts.append(start)
+            spans_of.append(cycles)
+        for level, n in Counter(tl.miss_level).items():
+            counts[f"cache_miss.{level}"] = n
+
+        histograms = {}
+        if lengths:
+            hist = Histogram()
+            for value, n in Counter(lengths).items():
+                hist.record(value, n)
+            histograms["stall_span_cycles"] = hist.to_dict()
+
+        shape = (self._interval, self._max_points)
+        series = {}
+        if tl.commit_cycle:
+            series["commits"] = IntervalSeries.of_cycles(
+                tl.commit_cycle, *shape)
+        if tl.issue_cycle:
+            series["issues"] = IntervalSeries.of_cycles(
+                tl.issue_cycle, *shape)
+        for name, (starts, spans_of) in modes.items():
+            series[f"mode.{name}"] = IntervalSeries.of_spans(
+                starts, spans_of, *shape)
+
+        # The latest cycle any emitted event would have carried (a stall
+        # span's end, every other record's own cycle or start): the
+        # last entry of each column, since cycles never decrease along
+        # one.
+        columns = (tl.fetch_cycle, tl.issue_cycle, tl.commit_cycle,
+                   tl.restart_cycle, tl.rs_hit_cycle, tl.miss_cycle,
+                   tl.stall_end, tl.mode_start)
+        last_cycle = max([0] + [c[-1] for c in columns if c])
+        return {
+            "counters": {k: v for k, v in sorted(counts.items()) if v},
+            "histograms": histograms,
+            "series": {name: s.to_dict()
+                       for name, s in sorted(series.items())},
+            "last_cycle": last_cycle,
+        }
+
+
+__all__ = ["Histogram", "IntervalSeries", "MetricsSink"]

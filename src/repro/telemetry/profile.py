@@ -1,13 +1,13 @@
 """Stall-attribution profiler: where do the cycles actually go?
 
 Figure 6 answers that question in aggregate; this module answers it
-per static instruction.  :class:`StallProfileSink` folds the traced
-stall spans into ``(category, pc)`` cycle totals during the run (no
-event storage), and :func:`render_profile` prints a flamegraph-style
-text tree — workload → stall category → hottest static sites — with
-the cross-model comparison the paper's story rests on: the in-order
-baseline spends the plurality of its cycles stalled on loads, and
-multipass converts much of that share into overlap.
+per static instruction.  :class:`StallProfileSink` folds the stall
+spans of a recorded :class:`~repro.telemetry.timeline.Timeline` into
+``(category, pc)`` cycle totals, and :func:`render_profile` prints a
+flamegraph-style text tree — workload → stall category → hottest static
+sites — with the cross-model comparison the paper's story rests on: the
+in-order baseline spends the plurality of its cycles stalled on loads,
+and multipass converts much of that share into overlap.
 
 Attribution matches the stats taxonomy exactly: every non-execution
 cycle a core charges is attributed to the static instruction the core
@@ -18,35 +18,30 @@ to the cycle — a property the telemetry tests pin.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..isa.trace import Trace
 from ..machine import MachineConfig
 from ..pipeline.stats import SimStats, StallCategory
-from .events import Event, EventKind, Tracer
-from .sinks import TelemetrySink
+from .timeline import Timeline
 
 
-class StallProfileSink(TelemetrySink):
-    """Aggregate stall spans into per-(category, pc) cycle totals."""
+class StallProfileSink:
+    """Per-(category, pc) stall totals of a finished Timeline."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, timeline: Timeline):
         #: (StallCategory, pc) -> stalled cycles.
         self.cells: Dict[Tuple[StallCategory, int], int] = {}
-        self.restarts = 0
-        self.cache_misses: Dict[str, int] = {}
-
-    def emit(self, event: Event) -> None:
-        kind = event.kind
-        if kind is EventKind.STALL_END:
-            key = (event.category, event.pc)
-            self.cells[key] = self.cells.get(key, 0) + event.cycles
-        elif kind is EventKind.RESTART:
-            self.restarts += 1
-        elif kind is EventKind.CACHE_MISS:
-            self.cache_misses[event.level] = \
-                self.cache_misses.get(event.level, 0) + 1
+        for category, pc, start, end in zip(
+                timeline.stall_category, timeline.stall_pc,
+                timeline.stall_start, timeline.stall_end):
+            key = (category, pc)
+            self.cells[key] = self.cells.get(key, 0) + end - start
+        self.restarts = len(timeline.restart_cycle)
+        #: Serving level -> L1-missing accesses.
+        self.cache_misses: Dict[str, int] = dict(
+            Counter(timeline.miss_level))
 
     def category_totals(self) -> Dict[StallCategory, int]:
         totals: Dict[StallCategory, int] = {}
@@ -66,12 +61,12 @@ class StallProfileSink(TelemetrySink):
 def profile_model(model: str, trace: Trace,
                   config: Optional[MachineConfig] = None
                   ) -> Tuple[SimStats, StallProfileSink]:
-    """Run ``model`` over ``trace`` with stall profiling attached."""
+    """Run ``model`` over ``trace`` recording a timeline; profile it."""
     from ..harness.experiment import run_model
 
-    sink = StallProfileSink()
-    stats = run_model(model, trace, config, tracer=Tracer(sink))
-    return stats, sink
+    timeline = Timeline()
+    stats = run_model(model, trace, config, tracer=timeline)
+    return stats, StallProfileSink(timeline)
 
 
 def _render_site(pc: int, cycles: int, category_total: int,

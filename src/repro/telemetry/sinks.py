@@ -3,9 +3,9 @@
 All sinks share a two-method contract — ``emit(event)`` during the run
 and ``close()`` at :meth:`Tracer.finish` time — plus an ``enabled``
 class attribute that instrumentation sites check before constructing
-events.  Aggregating consumers (the metrics registry, the stall
-profiler) implement the same contract, so anything that accepts a sink
-composes with them.
+events.  (The aggregating consumers — the sweep summary and the stall
+profiler — are views over a :class:`~repro.telemetry.timeline.Timeline`
+instead; see :mod:`repro.telemetry.metrics`.)
 """
 
 from __future__ import annotations

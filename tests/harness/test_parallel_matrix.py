@@ -101,6 +101,23 @@ def test_serial_sweep_decodes_once_per_workload_cell(monkeypatch):
     }
 
 
+def test_serial_sweep_holds_one_workloads_kernel_columns(monkeypatch):
+    """Moving on to the next workload drops the columns the kernels
+    built on the previous trace (the trace itself stays cached), so a
+    sweep's memory peak holds one workload's columns, not all of them;
+    a revisit rebuilds them with the same results."""
+    from repro.harness import parallel
+
+    monkeypatch.setattr(parallel, "_WORKER_TRACES", {})
+    monkeypatch.setattr(parallel, "_LAST_TRACE", None)
+    first = sweep(MODELS, WORKLOADS, scale=SCALE, jobs=1)
+    (cache,) = parallel._WORKER_TRACES.values()
+    kept = [cache.trace(w).decoded._columns is not None for w in WORKLOADS]
+    assert kept == [False, True]
+    again = sweep(MODELS, WORKLOADS, scale=SCALE, jobs=1)
+    assert again.matrix.results == first.matrix.results
+
+
 def test_pool_sweep_decodes_once_per_workload_cell(tmp_path, monkeypatch):
     """Pool path: grouped dispatch lands every model of a workload on
     the same worker, so across the whole fleet each (workload, scale)

@@ -3,18 +3,26 @@
 The columnar OOO kernel (:mod:`repro.ooo.columnar`) and the columnar
 tightenings in the other cores must be *observationally equivalent* to
 the cycle-by-cycle scalar reference (``slow=True``): identical cycle
-counts, identical stall attribution, identical counters, and — the
-strongest form of the contract — an identical **retired-instruction
-stream**: the same seqs commit in the same order at the same cycles.
+counts, identical stall attribution, identical counters and memory
+statistics, and — the strongest form of the contract — an identical
+**retired-instruction stream**: the same seqs commit in the same order
+at the same cycles.  The same holds for what a run *reports* about
+itself: the :class:`~repro.telemetry.timeline.Timeline` a production
+kernel records equals, field for field, the one the scalar loop
+records.
 
-This is the gate named by the PR-7 tentpole: the scalar inner loops may
-only be retired once this suite (plus the golden matrix) pins every
-columnar path against them.  Hypothesis drives the same adversarial
+The scalar inner loops may only be retired once this suite (plus the
+golden matrix) pins every columnar path against them.  Hypothesis
+drives the same adversarial
 program generator as ``test_random_programs`` — bounded loops of random
-ALU/memory/predicate bodies, with and without RESTART directives — so
-the contract is probed on arbitrary programs, not just the packaged
-workloads.
+ALU/memory/predicate bodies, with and without RESTART directives — and
+draws the machine configuration next to the program (structure sizes,
+the Fig. 7 hierarchies, refill penalties), so the contract is probed on
+arbitrary programs and machines, not just the packaged workloads on the
+default configuration.
 """
+
+from dataclasses import replace
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
@@ -24,6 +32,11 @@ from repro.compiler import compile_program
 from repro.harness import (ABLATION_FACTORIES, MODEL_FACTORIES,
                            make_model, run_model)
 from repro.isa import ProgramBuilder, R, execute
+from repro.machine import MachineConfig
+from repro.memory.configs import HIERARCHIES
+from repro.multipass import core as multipass_core
+from repro.ooo import core as ooo_core
+from repro.telemetry import TelemetrySink, Timeline, Tracer
 
 from .test_random_programs import materialize, programs
 
@@ -42,13 +55,41 @@ MULTIPASS_MODELS = ("multipass", "runahead", "twopass",
                     "multipass-hwrestart")
 
 
+def _machine(hierarchy, mshrs, window, rob, queue, asc, mispredict,
+             flush):
+    return MachineConfig(
+        hierarchy=replace(HIERARCHIES[hierarchy](),
+                          max_outstanding_misses=mshrs),
+        ooo_window=window, ooo_rob=rob, multipass_queue_size=queue,
+        asc_entries=asc, mispredict_penalty=mispredict,
+        flush_penalty=flush)
+
+
+#: Machine configurations around the structure the kernels hard-code
+#: (the 64-slot event wheel, ready-queue compaction at 32 entries): OOO
+#: window and ROB, multipass queue, ASC and MSHR sizes, the three Fig. 7
+#: hierarchies, and the branch and value-flush refill penalties.  A
+#: single MSHR is left out: mcf already exceeds the cycle budget with one
+#: on every miss-overlapping model, scalar loops included.
+configs = st.builds(
+    _machine,
+    hierarchy=st.sampled_from(sorted(HIERARCHIES)),
+    mshrs=st.sampled_from((2, 4, 16)),
+    window=st.sampled_from((4, 16, 33, 128)),
+    rob=st.sampled_from((8, 32, 65, 256)),
+    queue=st.sampled_from((8, 24, 256)),
+    asc=st.sampled_from((4, 16, 64)),
+    mispredict=st.integers(1, 12),
+    flush=st.integers(1, 12),
+)
+
+
 class RetireRecorder:
     """A ``core.replay`` stand-in that records the retired stream.
 
     Cores call ``replay.commit(entry)`` once per architecturally retired
     instruction, in commit order; recording the seqs observes the full
-    retirement stream without tracing (which would force the scalar
-    loop and defeat the differential).
+    retirement stream without any tracer attached.
     """
 
     def __init__(self):
@@ -62,12 +103,13 @@ class RetireRecorder:
 
 
 def _comparable(stats):
-    return (stats.cycles, stats.instructions, dict(stats.cycle_breakdown),
-            dict(stats.counters), stats.branch_accuracy)
+    """Everything a run reports — the dict perfbench digests, memory
+    statistics included."""
+    return stats.to_dict()
 
 
-def _run_recorded(model, trace, slow):
-    core = make_model(model, trace, slow=slow)
+def _run_recorded(model, trace, slow, config=None):
+    core = make_model(model, trace, config, slow=slow)
     recorder = RetireRecorder()
     core.replay = recorder
     stats = core.run()
@@ -76,21 +118,21 @@ def _run_recorded(model, trace, slow):
 
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(programs)
-def test_columnar_matches_scalar_everywhere(spec):
-    """Cycles, breakdown, counters and accuracy agree on all 9 variants."""
+@given(programs, configs)
+def test_columnar_matches_scalar_everywhere(spec, config):
+    """Every reported statistic agrees on all 9 variants."""
     compiled = compile_program(materialize(spec).build())
     trace = execute(compiled)
     for model in ALL_MODELS:
-        fast = run_model(model, trace)
-        slow = run_model(model, trace, slow=True)
+        fast = run_model(model, trace, config)
+        slow = run_model(model, trace, config, slow=True)
         assert _comparable(fast) == _comparable(slow), model
 
 
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(programs)
-def test_retired_streams_identical(spec):
+@given(programs, configs)
+def test_retired_streams_identical(spec, config):
     """The columnar kernel retires the same seqs in the same order.
 
     Every seq must appear exactly once (trace replay commits each
@@ -102,11 +144,37 @@ def test_retired_streams_identical(spec):
     trace = execute(compiled)
     n = len(trace)
     for model in ALL_MODELS:
-        fast_stats, fast_seqs = _run_recorded(model, trace, slow=False)
-        slow_stats, slow_seqs = _run_recorded(model, trace, slow=True)
+        fast_stats, fast_seqs = _run_recorded(model, trace, False, config)
+        slow_stats, slow_seqs = _run_recorded(model, trace, True, config)
         assert fast_seqs == slow_seqs, model
         assert sorted(fast_seqs) == list(range(n)), model
         assert _comparable(fast_stats) == _comparable(slow_stats), model
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(programs, configs)
+def test_timeline_matches_scalar_everywhere(spec, config):
+    """The production kernel records the scalar loop's Timeline.
+
+    Field for field — every fetch, issue (with its mode), commit,
+    restart, result-store merge and cache miss with its cycle, every
+    coalesced stall span with its blamed site, every mode span — on all
+    9 variants.  This is what licenses the timeline views (sweep
+    summaries, stall profiles) to report on the production kernels.
+    """
+    compiled = compile_program(materialize(spec).build())
+    trace = execute(compiled)
+    for model in ALL_MODELS:
+        fast, slow = Timeline(), Timeline()
+        fast_stats = run_model(model, trace, config, tracer=fast)
+        slow_stats = run_model(model, trace, config, tracer=slow,
+                               slow=True)
+        assert _comparable(fast_stats) == _comparable(slow_stats), model
+        fast_columns, slow_columns = fast.columns(), slow.columns()
+        for name in Timeline.FIELDS:
+            assert fast_columns[name] == slow_columns[name], (model, name)
+        assert fast.commit_seq == list(range(len(trace))), model
 
 
 @settings(max_examples=15, deadline=None,
@@ -130,27 +198,46 @@ def test_audit_oracle_holds_on_columnar_path(spec, model):
         f"static lower bound {bound} (AUD001)")
 
 
-def test_columnar_routing():
-    """--slow and tracing must route to the scalar reference loop."""
-    from repro.telemetry import TelemetrySink, Tracer
+def test_columnar_routing(monkeypatch):
+    """A Timeline records on the columnar kernel; ``--slow`` and an
+    event Tracer route to the scalar reference loop."""
+    ran = []
+    for module, cls in ((ooo_core, ooo_core.OutOfOrderCore),
+                        (multipass_core, multipass_core.MultipassCore)):
+        kernel, scalar = module.run_columnar, cls._run_scalar
+
+        def columnar(core, max_cycles, kernel=kernel):
+            ran.append("columnar")
+            return kernel(core, max_cycles)
+
+        def reference(core, max_cycles=500_000_000, scalar=scalar):
+            ran.append("scalar")
+            return scalar(core, max_cycles)
+
+        monkeypatch.setattr(module, "run_columnar", columnar)
+        monkeypatch.setattr(cls, "_run_scalar", reference)
+
     spec = ([("add", *_regs(3))], 2, False)
     trace = execute(compile_program(materialize(spec).build()))
+    routes = ((dict, "columnar"),
+              (lambda: {"slow": True}, "scalar"),
+              (lambda: {"tracer": Timeline()}, "columnar"),
+              (lambda: {"tracer": Tracer(TelemetrySink())}, "scalar"))
     for model in ("ooo", "multipass", "runahead", "twopass"):
-        fast = make_model(model, trace)
-        assert not fast.slow
-        slow = make_model(model, trace, slow=True)
-        assert slow.slow
-        traced = make_model(model, trace, tracer=Tracer(TelemetrySink()))
-        assert traced.tracer.enabled
-        # All three agree on the stats regardless of the loop that ran.
-        a, b, c = fast.run(), slow.run(), traced.run()
-        assert _comparable(a) == _comparable(b) == _comparable(c), model
+        results = []
+        for kwargs, loop in routes:
+            del ran[:]
+            results.append(_comparable(run_model(model, trace,
+                                                 **kwargs())))
+            assert ran == [loop], (model, kwargs())
+        # All four agree on the stats regardless of the loop that ran.
+        assert all(r == results[0] for r in results), model
 
 
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(programs)
-def test_multipass_family_retired_streams_identical(spec):
+@given(programs, configs)
+def test_multipass_family_retired_streams_identical(spec, config):
     """Dedicated multipass-family differential: the columnar advance/
     rally kernel retires the same seqs in the same order as the scalar
     reference, on every family variant, with and without RESTART
@@ -159,8 +246,8 @@ def test_multipass_family_retired_streams_identical(spec):
     trace = execute(compiled)
     n = len(trace)
     for model in MULTIPASS_MODELS:
-        fast_stats, fast_seqs = _run_recorded(model, trace, slow=False)
-        slow_stats, slow_seqs = _run_recorded(model, trace, slow=True)
+        fast_stats, fast_seqs = _run_recorded(model, trace, False, config)
+        slow_stats, slow_seqs = _run_recorded(model, trace, True, config)
         assert fast_seqs == slow_seqs, model
         assert sorted(fast_seqs) == list(range(n)), model
         assert _comparable(fast_stats) == _comparable(slow_stats), model

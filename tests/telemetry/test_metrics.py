@@ -1,8 +1,8 @@
 """Bounded aggregation: histograms, adaptive series, MetricsSink."""
 
 from repro.pipeline.stats import StallCategory
-from repro.telemetry import (Event, EventKind, Histogram, IntervalSeries,
-                             MetricsSink, Tracer)
+from repro.telemetry import (Histogram, IntervalSeries, MetricsSink,
+                             Timeline)
 
 
 def test_histogram_power_of_two_buckets():
@@ -21,41 +21,45 @@ def test_histogram_power_of_two_buckets():
 
 
 def test_interval_series_coarsens_to_stay_bounded():
-    series = IntervalSeries(interval=1, max_points=4)
-    for cycle in range(16):
-        series.record(cycle)
+    series = IntervalSeries.of_cycles(range(16), interval=1, max_points=4)
     assert len(series.points) <= 4
     assert series.interval == 4          # doubled 1 -> 2 -> 4
-    assert sum(series.points) == 16
+    assert series.points == [4, 4, 4, 4]
 
 
 def test_record_span_distributes_across_boundaries():
-    series = IntervalSeries(interval=4, max_points=16)
-    series.record_span(2, 6)          # cycles 2..7 -> 2 in [0,4), 4 in [4,8)
-    assert series.points[:2] == [2, 4]
-    assert sum(series.points) == 6
+    # cycles 2..7 -> 2 in [0,4), 4 in [4,8)
+    series = IntervalSeries.of_spans([2], [6], interval=4, max_points=16)
+    assert series.points == [2, 4]
+    # A later span coarsens the whole series: cycle 9 needs 2 -> 4.
+    series = IntervalSeries.of_spans([0, 9], [3, 1], interval=2,
+                                     max_points=4)
+    assert series.interval == 4
+    assert series.points == [3, 0, 1]
 
 
 def test_metrics_sink_aggregates_without_storing_events():
-    sink = MetricsSink()
-    tracer = Tracer(sink)
-    tracer.fetch(0, 0, 0)
-    tracer.issue(1, 0, 0)
-    tracer.commit(2, 0, 0)
+    timeline = Timeline()
+    timeline.fetch(0, 0, 0)
+    timeline.issue(1, 0, 0)
+    timeline.commit(2, 0, 0)
     for cycle in range(3, 8):
-        tracer.charge(cycle, StallCategory.LOAD, seq=1, pc=4)
+        timeline.charge(cycle, StallCategory.LOAD, seq=1, pc=4)
     for cycle in range(0, 8):
-        tracer.mode(cycle, "architectural")
-    tracer.cache_miss(3, 1, 4, "mem")
-    tracer.finish(8)
+        timeline.mode(cycle, "architectural")
+    timeline.cache_miss(3, 1, 4, "mem")
+    timeline.finish(8)
 
-    assert sink.events == []          # aggregation only, no storage
-    summary = sink.summary()
+    # The timeline keeps flat values (one closed span), not events.
+    assert timeline.stall_start == [3] and timeline.stall_end == [8]
+    summary = MetricsSink(timeline).summary()
     counters = summary["counters"]
     assert counters["events.fetch"] == 1
+    assert counters["events.stall_begin"] == counters["events.stall_end"]
     assert counters["stall_cycles.load"] == 5
     assert counters["mode_cycles.architectural"] == 8
     assert counters["cache_miss.mem"] == 1
+    assert "events.restart" not in counters
     assert summary["last_cycle"] == 8
     hist = summary["histograms"]["stall_span_cycles"]
     assert hist["count"] == 1 and hist["total"] == 5
@@ -65,6 +69,10 @@ def test_metrics_sink_aggregates_without_storing_events():
 def test_metrics_sink_summary_is_json_safe():
     import json
 
-    sink = MetricsSink()
-    sink.emit(Event(EventKind.MODE, 0, mode="advance", cycles=7))
-    json.dumps(sink.summary())
+    timeline = Timeline()
+    timeline.mode(0, "advance")
+    timeline.finish(7)
+    summary = MetricsSink(timeline).summary()
+    assert summary["counters"] == {"events.mode": 1,
+                                   "mode_cycles.advance": 7}
+    json.dumps(summary)
