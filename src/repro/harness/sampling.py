@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..branch.gshare import GsharePredictor
-from ..isa.trace import Trace, TraceEntry
+from ..isa.trace import Trace
 from ..machine import MachineConfig
 from ..pipeline.frontend import FrontEnd
 from .experiment import ABLATION_FACTORIES, MODEL_FACTORIES
@@ -55,23 +55,22 @@ class SamplingResult:
 
 def _subtrace(trace: Trace, start: int, end: int) -> Trace:
     """Re-sequenced slice of a trace, runnable by any core."""
-    entries = [
-        TraceEntry(e.inst, i, e.dests, e.srcs, addr=e.addr, value=e.value,
-                   taken=e.taken, executed=e.executed)
-        for i, e in enumerate(trace.entries[start:end])
-    ]
-    return Trace(trace.program, entries, {}, {}, truncated=True)
+    return Trace(trace.program, trace.pc[start:end],
+                 trace.executed[start:end], trace.addr[start:end],
+                 trace.value[start:end], trace.taken[start:end], {}, {},
+                 truncated=True)
 
 
-def _functional_warm(hierarchy, predictor, entries, now: float,
-                     cpi_guess: float) -> float:
-    """Advance caches and predictor through a gap without timing it."""
-    for entry in entries:
-        if entry.executed and entry.inst.is_mem:
-            kind = "store" if entry.is_store else "load"
-            hierarchy.access(entry.addr, int(now), kind=kind)
-        if entry.is_branch:
-            predictor.update(entry.inst.index, entry.taken)
+def _functional_warm(hierarchy, predictor, dec, start: int, end: int,
+                     now: float, cpi_guess: float) -> float:
+    """Advance caches and predictor through seqs ``[start, end)`` of a
+    decoded trace without timing them."""
+    for seq in range(start, end):
+        if dec.mem_exec[seq]:
+            kind = "store" if dec.is_store[seq] else "load"
+            hierarchy.access(dec.addr[seq], int(now), kind=kind)
+        if dec.is_branch[seq]:
+            predictor.update(dec.pc[seq], dec.taken[seq])
         now += cpi_guess
     return now
 
@@ -111,9 +110,8 @@ def sampled_simulation(trace: Trace, model: str = "inorder",
     for unit_index in range(n_units):
         start = unit_index * spacing
         end = min(n, start + unit_size)
-        now = _functional_warm(hierarchy, predictor,
-                               trace.entries[position:start], now,
-                               cpi_guess)
+        now = _functional_warm(hierarchy, predictor, trace.decoded,
+                               position, start, now, cpi_guess)
         unit = _subtrace(trace, start, end)
         hierarchy.settle()   # warming timestamps are not unit time
         core = factories[model](unit, config)

@@ -3,11 +3,17 @@
 The timing cores replay the same :class:`~repro.isa.trace.Trace` tens of
 thousands of cycles at a time, and the fields they consult every cycle —
 functional-unit class, source/destination register tuples, latency, the
-``is_load``/``is_store``/``is_restart`` flags — all live behind Python
-property calls and an ``OP_SPECS`` dictionary lookup
-(``entry.inst.spec``).  :class:`DecodedTrace` flattens those fields once
-per trace into parallel lists indexed by dynamic sequence number, so the
-simulation inner loops become plain list indexing.
+``is_load``/``is_store``/``is_restart`` flags — are properties of the
+static instruction (through ``OP_SPECS``) and of the dynamic predicate
+outcome.  :class:`DecodedTrace` flattens those fields once per trace into
+parallel lists indexed by dynamic sequence number, so the simulation inner
+loops become plain list indexing.
+
+Nothing is computed per dynamic instruction: the trace's five dynamic
+columns (``pc``, ``executed``, ``addr``, ``value``, ``taken``) are kept
+as they are, and every other field is gathered through ``pc`` from a table
+built once per static instruction; the fields nullification changes are
+then overwritten at the (few) nullified seqs.
 
 The decode is built lazily on first use (``trace.decoded``) and cached on
 the :class:`~repro.isa.trace.Trace` instance.  Because the experiment
@@ -18,15 +24,15 @@ a per-process trace cache — rebuild it once per worker, not per cell.
 
 Everything here is *derived* read-only data: a ``DecodedTrace`` never
 changes simulation semantics, it only removes interpretation overhead.
-The invariant ``decoded field == per-entry property`` is pinned by
-``tests/isa/test_decoded.py``.
+The invariant ``decoded field == per-entry property`` is pinned against
+the single-step reference executor by ``tests/isa/test_decoded.py``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING
 
-from .opcodes import OP_SPECS, FUClass, Opcode, OpSpec
+from .opcodes import OP_SPECS, FUClass, Opcode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .trace import Trace
@@ -54,7 +60,10 @@ class DecodedTrace:
             for performing a timed cache access.
         is_predicated: instruction is guarded by a real predicate.
         addr / value / taken: dynamic effective address, value and
-            branch outcome (same objects as the entries').
+            branch outcome.
+
+    ``pc``, ``executed``, ``addr``, ``value`` and ``taken`` are the
+    trace's own column lists, not copies.
     """
 
     __slots__ = ("n", "fu", "issue_fu", "srcs", "dests", "static_dests",
@@ -63,65 +72,78 @@ class DecodedTrace:
                  "addr", "value", "taken", "_columns")
 
     def __init__(self, trace: "Trace"):
-        entries = trace.entries
-        n = len(entries)
-        self.n = n
-        self.fu = [FUClass.NONE] * n
-        self.issue_fu = [FUClass.NONE] * n
-        self.srcs: list = [()] * n
-        self.dests: list = [()] * n
-        self.static_dests: list = [()] * n
-        self.latency = [1] * n
-        self.pc = [0] * n
-        self.stop = [False] * n
-        self.executed = [True] * n
-        self.is_load = [False] * n
-        self.is_store = [False] * n
-        self.is_branch = [False] * n
-        self.is_restart = [False] * n
-        self.mem_exec = [False] * n
-        self.is_predicated = [False] * n
-        self.addr = [None] * n
-        self.value = [None] * n
-        self.taken = [False] * n
+        pc = trace.pc
+        executed = trace.executed
+        self.n = len(pc)
+        self.pc = pc
+        self.executed = executed
+        self.addr = trace.addr
+        self.value = trace.value
+        self.taken = trace.taken
         # Columnar-kernel column cache (repro.isa.columns), built lazily.
         self._columns = None
 
-        # One spec lookup per opcode, not per entry.
-        specs: Dict[Opcode, Tuple[OpSpec, bool]] = {}
-        none_fu = FUClass.NONE
-        restart = Opcode.RESTART
-        for seq, entry in enumerate(entries):
-            inst = entry.inst
+        # Per static instruction: every field as it reads when the
+        # instruction executes (HALT reads and writes nothing), and the
+        # sources of a nullified instance, which reads only its predicate.
+        fu, static_dests, latency, stop = [], [], [], []
+        is_branch, is_restart, is_predicated = [], [], []
+        srcs, dests, is_load, is_store, mem_exec = [], [], [], [], []
+        nullified_srcs = []
+        for inst in trace.program.instructions:
             opcode = inst.opcode
-            cached = specs.get(opcode)
-            if cached is None:
-                spec = OP_SPECS[opcode]
-                cached = (spec, spec.is_load or spec.is_store)
-                specs[opcode] = cached
-            spec, is_mem = cached
-            executed = entry.executed
-            self.fu[seq] = spec.fu
-            self.issue_fu[seq] = spec.fu if executed else none_fu
-            self.srcs[seq] = entry.srcs
-            self.dests[seq] = entry.dests
-            self.static_dests[seq] = inst.dests
-            self.latency[seq] = spec.latency
-            self.pc[seq] = inst.index
-            self.stop[seq] = inst.stop
-            self.executed[seq] = executed
-            self.is_load[seq] = executed and spec.is_load
-            self.is_store[seq] = executed and spec.is_store
-            self.is_branch[seq] = spec.is_branch
-            self.is_restart[seq] = opcode is restart
-            self.mem_exec[seq] = executed and is_mem
-            self.is_predicated[seq] = inst.is_predicated
-            self.addr[seq] = entry.addr
-            self.value[seq] = entry.value
-            self.taken[seq] = entry.taken
+            spec = OP_SPECS[opcode]
+            fu.append(spec.fu)
+            static_dests.append(inst.dests)
+            latency.append(spec.latency)
+            stop.append(inst.stop)
+            is_branch.append(spec.is_branch)
+            is_restart.append(opcode is Opcode.RESTART)
+            is_predicated.append(inst.is_predicated)
+            halt = opcode is Opcode.HALT
+            srcs.append(() if halt else inst.read_regs())
+            dests.append(() if halt else inst.dests)
+            is_load.append(spec.is_load)
+            is_store.append(spec.is_store)
+            mem_exec.append(spec.is_load or spec.is_store)
+            nullified_srcs.append((inst.pred,) if inst.is_predicated else ())
+
+        self.fu = _gather(fu, pc)
+        self.issue_fu = list(self.fu)
+        self.srcs = _gather(srcs, pc)
+        self.dests = _gather(dests, pc)
+        self.static_dests = _gather(static_dests, pc)
+        self.latency = _gather(latency, pc)
+        self.stop = _gather(stop, pc)
+        self.is_load = _gather(is_load, pc)
+        self.is_store = _gather(is_store, pc)
+        self.is_branch = _gather(is_branch, pc)
+        self.is_restart = _gather(is_restart, pc)
+        self.mem_exec = _gather(mem_exec, pc)
+        self.is_predicated = _gather(is_predicated, pc)
+
+        # Nullified instances: no unit, no writes, no memory access.
+        none_fu = FUClass.NONE
+        seq = -1
+        try:
+            while True:
+                seq = executed.index(False, seq + 1)
+                self.issue_fu[seq] = none_fu
+                self.srcs[seq] = nullified_srcs[pc[seq]]
+                self.dests[seq] = ()
+                self.is_load[seq] = False
+                self.is_store[seq] = False
+                self.mem_exec[seq] = False
+        except ValueError:
+            pass
 
     def __len__(self) -> int:
         return self.n
+
+
+def _gather(table: list, index: list) -> list:
+    """``[table[i] for i in index]``, without a Python-level loop."""
+    return list(map(table.__getitem__, index))
 
 
 def decode(trace: "Trace") -> DecodedTrace:

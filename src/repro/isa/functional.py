@@ -6,16 +6,24 @@ records the dynamic :class:`~repro.isa.trace.Trace` that all timing models
 replay.  This is also the reference against which multipass result
 preservation is verified: every value the multipass core merges from its
 result store must equal the value recorded here.
+
+Two implementations of the same semantics live here.  :meth:`run`, the
+golden run, pre-decodes the program once and appends the trace's dynamic
+columns; :meth:`FunctionalSimulator._step` executes one instruction at a
+time through the register/memory accessors and backs :meth:`step`, which
+the ``--check`` replay drives, so a checked run cross-checks the two.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from itertools import compress
+from typing import Dict, List, Optional
 
 from .instruction import Instruction
 from .opcodes import Opcode
 from .program import Program, check_alignment
-from .registers import TRUE_PRED, ZERO_REG, is_pred_reg
+from .registers import (HARDWIRED, NUM_PRED_REGS, NUM_REGS, PRED_BASE,
+                        TRUE_PRED, ZERO_REG, is_pred_reg)
 from .trace import Trace, TraceEntry
 
 _MASK32 = 0xFFFFFFFF
@@ -71,37 +79,119 @@ class FunctionalSimulator:
     def run(self, truncate_ok: bool = False) -> Trace:
         """Execute until HALT (or the instruction limit) and return the trace.
 
+        The program is pre-decoded once (:func:`_predecode`) and executed
+        over a flat register list into the trace's five dynamic columns
+        (``pc``, ``executed``, ``addr``, ``value``, ``taken``).  The loop
+        allocates no container per instruction: it appends the pc, and
+        the seq (plus address and value) only of nullified instructions,
+        taken branches and memory operations.  :meth:`_step` is the
+        per-instruction reference this loop must match
+        (``tests/isa/test_executor.py``).
+
         Args:
             truncate_ok: when True, hitting ``max_instructions`` yields a
                 truncated trace instead of raising.  Workload generators use
                 this deliberately for open-ended kernels.
         """
-        entries = []
         program = self.program
-        n_static = len(program)
+        name = program.name
+        code = _predecode(program)
+        regs = [0] * (NUM_REGS + 1)
+        regs[PRED_BASE:NUM_REGS] = [False] * NUM_PRED_REGS
+        regs[TRUE_PRED] = True
+        for reg, value in self.registers.items():
+            regs[reg] = value
+        memory = self.memory
+        load = memory.get
+        # The pc of every dynamic instruction, plus the seqs of the few
+        # that are nullified, taken branches or memory operations; the
+        # other columns are filled from these after the loop.
+        pcs: List[int] = []
+        at = pcs.append
+        nullified: List[int] = []
+        taken_seqs: List[int] = []
+        mem_seqs: List[int] = []
+        mem_addrs: List[int] = []
+        mem_values: list = []
+        pc = self.pc
         truncated = False
-        while True:
-            if self.pc >= n_static:
+        for seq in range(self.max_instructions):
+            kind, pred, d, a, b, imm, fn = code[pc]
+            at(pc)
+            if not regs[pred]:
+                # Nullified: writes nothing, falls through.
+                nullified.append(seq)
+                pc += 1
+                continue
+            if kind == _BIN:
+                regs[d] = fn(regs[a], regs[b])
+            elif kind == _IMM:
+                regs[d] = fn(regs[a], imm)
+            elif kind == _LOAD:
+                addr = (regs[a] + imm) & _MASK32
+                if addr & 3:
+                    check_alignment(addr, name)
+                value = regs[d] = load(addr, 0)
+                mem_seqs.append(seq)
+                mem_addrs.append(addr)
+                mem_values.append(value)
+            elif kind == _BRANCH:
+                taken_seqs.append(seq)
+                pc = imm
+                continue
+            elif kind == _STORE:
+                addr = (regs[b] + imm) & _MASK32
+                value = regs[a]
+                if addr & 3:
+                    check_alignment(addr, name)
+                memory[addr] = value
+                mem_seqs.append(seq)
+                mem_addrs.append(addr)
+                mem_values.append(value)
+            elif kind == _CONST:
+                regs[d] = imm
+            elif kind == _MOVE:
+                regs[d] = regs[a]
+            elif kind == _UNARY:
+                regs[d] = fn(regs[a])
+            elif kind == _HALT:
+                break
+            elif kind == _END:
+                raise _fell_off(name, pc)
+            pc += 1
+        else:
+            if pc >= len(program):
+                raise _fell_off(name, pc)
+            if not truncate_ok:
                 raise ExecutionLimitExceeded(
-                    f"{program.name}: fell off the end of the program at "
-                    f"pc={self.pc}"
-                )
-            if len(entries) >= self.max_instructions:
-                if truncate_ok:
-                    truncated = True
-                    break
-                raise ExecutionLimitExceeded(
-                    f"{program.name}: exceeded {self.max_instructions} "
+                    f"{name}: exceeded {self.max_instructions} "
                     f"dynamic instructions"
                 )
-            inst = program[self.pc]
-            if inst.opcode is Opcode.HALT:
-                entries.append(TraceEntry(inst, len(entries), (), ()))
-                break
-            entry = self._step(inst, len(entries))
-            entries.append(entry)
-        return Trace(program, entries, dict(self.registers),
-                     dict(self.memory), truncated=truncated)
+            truncated = True
+
+        n = len(pcs)
+        executed = [True] * n
+        for seq in nullified:
+            executed[seq] = False
+        taken = [False] * n
+        for seq in taken_seqs:
+            taken[seq] = True
+        addrs: List[Optional[int]] = [None] * n
+        values: list = [None] * n
+        for seq, addr, value in zip(mem_seqs, mem_addrs, mem_values):
+            addrs[seq] = addr
+            values[seq] = value
+        # Every executed instance of a writing instruction writes its one
+        # destination, so the written set is a function of the static
+        # instructions that executed at least once.
+        written = {code[p][2] for p in set(compress(pcs, executed))}
+        written.discard(_DISCARD)
+        registers = self.registers
+        for reg in sorted(written):
+            registers[reg] = regs[reg]
+        self.pc = pc
+        return Trace(program, pcs, executed, addrs, values, taken,
+                     dict(registers), dict(memory), truncated=truncated)
 
     def step(self, seq: int) -> TraceEntry:
         """Execute the instruction at the current pc and return its entry.
@@ -215,6 +305,75 @@ _ALU_IMMOPS = {
     Opcode.CMPLTI: lambda a, i: a < i,
     Opcode.CMPLEI: lambda a, i: a <= i,
 }
+
+
+#: Pre-decoded instruction kinds dispatched by :meth:`FunctionalSimulator.run`
+#: (``_END`` is the sentinel one past the last instruction).
+(_BIN, _IMM, _LOAD, _BRANCH, _STORE, _CONST, _MOVE, _UNARY, _NOP, _HALT,
+ _END) = range(11)
+
+#: Flat-register slot that absorbs writes to r0/p0 (never read).
+_DISCARD = NUM_REGS
+
+_UNARY_OPS = {
+    Opcode.CVTIF: float,
+    Opcode.CVTFI: lambda a: to_int32(int(a)),
+}
+
+#: Kinds that write their instruction's first destination.
+_WRITES = frozenset((_BIN, _IMM, _LOAD, _CONST, _MOVE, _UNARY))
+
+
+def _predecode(program: Program) -> List[tuple]:
+    """One ``(kind, pred, dest, a, b, imm, fn)`` row per static
+    instruction, plus an ``_END`` row at ``len(program)``.
+
+    ``a``/``b`` are the source registers the kind reads (for stores, the
+    data then the base), ``imm`` the immediate (MOVI/FMOVI already
+    converted; the target index for branches) and ``fn`` the ALU
+    function.  HALT gets the always-true predicate: it ends the run
+    whatever its qualifying predicate.
+    """
+    code = []
+    for inst in program.instructions:
+        op = inst.opcode
+        srcs = inst.srcs
+        pred, a, b, imm, fn = inst.pred, ZERO_REG, ZERO_REG, inst.imm, None
+        if op in _ALU_BINOPS:
+            kind, a, b, fn = _BIN, srcs[0], srcs[1], _ALU_BINOPS[op]
+        elif op in _ALU_IMMOPS:
+            kind, a, fn = _IMM, srcs[0], _ALU_IMMOPS[op]
+        elif op in (Opcode.LD, Opcode.FLD):
+            kind, a = _LOAD, srcs[0]
+        elif op in (Opcode.ST, Opcode.FST):
+            kind, a, b = _STORE, srcs[0], srcs[1]
+        elif op in (Opcode.BR, Opcode.JMP):
+            kind, imm = _BRANCH, program.target_index(inst)
+        elif op is Opcode.MOVI:
+            kind, imm = _CONST, to_int32(imm)
+        elif op is Opcode.FMOVI:
+            kind, imm = _CONST, float(imm)
+        elif op in (Opcode.MOV, Opcode.FMOV):
+            kind, a = _MOVE, srcs[0]
+        elif op in _UNARY_OPS:
+            kind, a, fn = _UNARY, srcs[0], _UNARY_OPS[op]
+        elif op in (Opcode.NOP, Opcode.RESTART):
+            kind = _NOP
+        elif op is Opcode.HALT:
+            kind, pred = _HALT, TRUE_PRED
+        else:  # pragma: no cover - opcode table is exhaustive
+            raise NotImplementedError(f"unhandled opcode {op}")
+        dest = _DISCARD
+        if kind in _WRITES and inst.dests[0] not in HARDWIRED:
+            dest = inst.dests[0]
+        code.append((kind, pred, dest, a, b, imm, fn))
+    code.append((_END, TRUE_PRED, _DISCARD, ZERO_REG, ZERO_REG, None, None))
+    return code
+
+
+def _fell_off(name: str, pc: int) -> ExecutionLimitExceeded:
+    return ExecutionLimitExceeded(
+        f"{name}: fell off the end of the program at pc={pc}")
 
 
 def _int_div(a: int, b: int) -> int:

@@ -1,13 +1,21 @@
 """Dynamic-trace representation consumed by all timing models.
 
 The reproduction is *trace driven*: the functional simulator executes a
-program once (the golden run) and records one :class:`TraceEntry` per
-retired instruction.  Timing models (in-order, multipass, runahead,
-out-of-order) replay the entries, which carry everything timing needs —
-register dependences, effective memory addresses and values, and branch
-outcomes.  Replaying the architected path is the standard trace-driven
-approximation; wrong-path effects of advance execution are modelled by the
-cores themselves (see :mod:`repro.multipass.core`).
+program once (the golden run) and records, per retired instruction, its
+static instruction index, whether its predicate let it execute, its
+effective address, the value it loaded or stored and its branch outcome.
+A :class:`Trace` holds those five dynamic columns; everything else timing
+needs (register dependences, latencies, unit classes) is a function of the
+static instruction and is gathered into the decoded cache
+(:mod:`repro.isa.decoded`).  Timing models (in-order, multipass, runahead,
+out-of-order) replay the decoded columns.  Replaying the architected path
+is the standard trace-driven approximation; wrong-path effects of advance
+execution are modelled by the cores themselves (see
+:mod:`repro.multipass.core`).
+
+:class:`TraceEntry` objects — one per dynamic instruction — are built on
+first access to :attr:`Trace.entries`, for the scalar reference loops, the
+``--check`` replay, the exporters and the analysis code.
 """
 
 from __future__ import annotations
@@ -82,18 +90,36 @@ class TraceEntry:
 
 
 class Trace:
-    """A complete golden-run trace plus final architectural state."""
+    """A complete golden-run trace plus final architectural state.
 
-    def __init__(self, program: Program, entries: List[TraceEntry],
+    Attributes:
+        program: the executed program.
+        pc / executed / addr / value / taken: the dynamic columns, one
+            item per dynamic instruction (``seq``): static instruction
+            index, predicate outcome, effective address and value of an
+            executed load or store (else ``None``), branch outcome.
+        final_registers: registers written by the run (never r0/p0).
+        final_memory: the data memory at the end of the run.
+        truncated: the run stopped at ``max_instructions``.
+    """
+
+    def __init__(self, program: Program, pc: List[int],
+                 executed: List[bool], addr: List[Optional[int]],
+                 value: List[object], taken: List[bool],
                  final_registers: Dict[int, object],
                  final_memory: Dict[int, object],
                  truncated: bool = False):
         self.program = program
-        self.entries = entries
+        self.pc = pc
+        self.executed = executed
+        self.addr = addr
+        self.value = value
+        self.taken = taken
         self.final_registers = final_registers
         self.final_memory = final_memory
         self.truncated = truncated
         self._decoded = None
+        self._entries: Optional[List[TraceEntry]] = None
 
     @property
     def decoded(self):
@@ -108,8 +134,22 @@ class Trace:
             self._decoded = DecodedTrace(self)
         return self._decoded
 
+    @property
+    def entries(self) -> List[TraceEntry]:
+        """One :class:`TraceEntry` per dynamic instruction, built on first
+        access from the decoded columns (the production kernels never
+        touch it)."""
+        if self._entries is None:
+            dec = self.decoded
+            insts = self.program.instructions
+            self._entries = list(map(
+                TraceEntry, map(insts.__getitem__, dec.pc), range(dec.n),
+                dec.dests, dec.srcs, dec.addr, dec.value, dec.taken,
+                dec.executed))
+        return self._entries
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.pc)
 
     def __iter__(self):
         return iter(self.entries)
@@ -119,22 +159,11 @@ class Trace:
 
     def dynamic_counts(self) -> Dict[str, int]:
         """Summary counts by instruction kind (for workload inspection)."""
-        counts = {"total": len(self.entries), "loads": 0, "stores": 0,
-                  "branches": 0, "fp": 0, "muldiv": 0, "nullified": 0,
-                  "restarts": 0}
-        for e in self.entries:
-            if not e.executed:
-                counts["nullified"] += 1
-            if e.is_load:
-                counts["loads"] += 1
-            elif e.is_store:
-                counts["stores"] += 1
-            elif e.is_branch:
-                counts["branches"] += 1
-            if e.fu is FUClass.FP:
-                counts["fp"] += 1
-            elif e.fu is FUClass.MULDIV:
-                counts["muldiv"] += 1
-            if e.is_restart:
-                counts["restarts"] += 1
-        return counts
+        dec = self.decoded
+        return {"total": dec.n, "loads": sum(dec.is_load),
+                "stores": sum(dec.is_store),
+                "branches": sum(dec.is_branch),
+                "fp": dec.fu.count(FUClass.FP),
+                "muldiv": dec.fu.count(FUClass.MULDIV),
+                "nullified": dec.n - sum(dec.executed),
+                "restarts": sum(dec.is_restart)}

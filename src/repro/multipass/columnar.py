@@ -86,7 +86,6 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     rest to the scalar reference loop).
     """
     trace = core.trace
-    entries = trace.entries
     dec = trace.decoded
     n = dec.n
     d_srcs = dec.srcs
@@ -112,6 +111,10 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     frontend = core.frontend
     stats = core.stats
     replay = core.replay
+    # TraceEntry objects only for the --check replay; the static fields
+    # the kernel needs beyond the decoded columns come from the program.
+    entries = trace.entries if replay is not None else None
+    insts = trace.program.instructions
     buffer_size = core.buffer_size
     ports = config.ports
     width = ports.width
@@ -610,7 +613,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                                 pass_dead = True
                                 n_advance_wrong += 1
                         elif d_store[seq]:
-                            inst = entries[seq].inst
+                            inst = insts[d_pc[seq]]
                             data_reg = inst.srcs[0]
                             base_reg = inst.srcs[1]
                             st = sp_state[base_reg]
@@ -891,7 +894,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             sp_state[dest] = sA
                             srf_ready[dest] = now + latency
                             pready_stamp[dest] = 0
-                        if persist and (dests or entries[seq].inst.opcode
+                        if persist and (dests or insts[d_pc[seq]].opcode
                                         is NOP):
                             n_rs_writes += 1
                             rs_live[seq] = 1

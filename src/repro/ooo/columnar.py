@@ -124,7 +124,6 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     rest to the scalar reference loop).
     """
     trace = core.trace
-    entries = trace.entries
     dec = trace.decoded
     n = dec.n
     cols = columns_of(dec)
@@ -242,6 +241,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
         skipped_issues: list = []
 
     replay = core.replay
+    # TraceEntry objects only for the --check replay.
+    entries = trace.entries if replay is not None else None
     queue_cap = core.decentralized_queues
     has_queues = queue_cap is not None
     queue_fill = [0, 0, 0]

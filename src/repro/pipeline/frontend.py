@@ -125,9 +125,14 @@ class FrontEnd:
         """
         if already_resolved:
             return False
-        correct = self.predictor.update(entry.inst.index, entry.taken)
+        return self.resolve(entry.seq, entry.inst.index, entry.taken, now)
+
+    def resolve(self, seq: int, pc: int, taken: bool, now: int) -> bool:
+        """:meth:`resolve_branch` from the trace columns: the branch at
+        ``seq`` (static index ``pc``) resolved ``taken``."""
+        correct = self.predictor.update(pc, taken)
         if not correct:
-            self.redirect(entry.seq + 1, now)
+            self.redirect(seq + 1, now)
         return not correct
 
     def redirect(self, resume_index: int, now: int) -> None:

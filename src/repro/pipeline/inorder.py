@@ -34,7 +34,6 @@ class InOrderCore(BaseCore):
 
     def run(self, max_cycles: int = 500_000_000) -> SimStats:
         trace = self.trace
-        entries = trace.entries
         dec = trace.decoded
         n = dec.n
         frontend = self.frontend
@@ -59,8 +58,11 @@ class InOrderCore(BaseCore):
         d_branch = dec.is_branch
         d_stop = dec.stop
         d_pc = dec.pc
+        d_taken = dec.taken
         tel = self.tracer if self.tracer.enabled else None
         replay = self.replay
+        # TraceEntry objects only for the --check replay.
+        entries = trace.entries if replay is not None else None
         EXECUTION = StallCategory.EXECUTION
         FRONT_END = StallCategory.FRONT_END
         LOAD = StallCategory.LOAD
@@ -175,13 +177,13 @@ class InOrderCore(BaseCore):
                 stats.instructions += 1
                 if tel is not None:
                     tel.issue(now, i, d_pc[i])
-                    self.commit_entry(entries[i], now)
-                elif replay is not None:
+                    tel.commit(now, i, d_pc[i])
+                if replay is not None:
                     replay.commit(entries[i])
                 issued += 1
                 ptr = i + 1
                 if d_branch[i]:
-                    if frontend.resolve_branch(entries[i], now):
+                    if frontend.resolve(i, d_pc[i], d_taken[i], now):
                         counters["mispredicts"] += 1
                         break
                 if d_stop[i]:

@@ -35,9 +35,8 @@ class PowerBreakdown:
 
 def _operand_counts(trace: Trace):
     """Total architectural source reads and destination writes."""
-    reads = sum(len(e.srcs) for e in trace.entries)
-    writes = sum(len(e.dests) for e in trace.entries)
-    return reads, writes
+    dec = trace.decoded
+    return sum(map(len, dec.srcs)), sum(map(len, dec.dests))
 
 
 def _avg_power(tech: TechParams, peak: float, dynamic_energy: float,

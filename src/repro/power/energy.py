@@ -64,11 +64,9 @@ class ExecutionEnergy:
 
 def _class_mix(trace: Trace) -> Dict[FUClass, float]:
     """Fraction of dynamic instructions per FU class."""
-    counts: Dict[FUClass, int] = {cls: 0 for cls in FUClass}
-    for entry in trace.entries:
-        counts[entry.fu if entry.executed else FUClass.NONE] += 1
-    total = max(1, len(trace.entries))
-    return {cls: n / total for cls, n in counts.items()}
+    issue_fu = trace.decoded.issue_fu
+    total = max(1, len(issue_fu))
+    return {cls: issue_fu.count(cls) / total for cls in FUClass}
 
 
 def _extra_events(stats: SimStats) -> float:
@@ -94,7 +92,7 @@ def execution_energy(stats: SimStats, trace: Trace,
     del tech  # reserved for voltage/frequency scaling extensions
     event_energy = event_energy or DEFAULT_EVENT_ENERGY
     mix = _class_mix(trace)
-    n = len(trace.entries)
+    n = len(trace)
     extra = _extra_events(stats)
 
     by_class: Dict[FUClass, float] = {}
