@@ -150,12 +150,16 @@ class MemoryHierarchy:
             return AccessResult(latency, first.config.name, now + latency,
                                 False)
 
+        # A serving level whose own fill is still in flight cannot supply
+        # the line before that fill lands: its ready cycle is an absolute
+        # floor on this access.
+        floor = 0
         if hit_level is not None:
             serving = levels[hit_level]
             pending = self._pending_ready(serving, addr, now)
             base_latency = serving.config.latency
             if pending is not None:
-                base_latency = max(base_latency, pending - now)
+                floor = pending
             level_name = serving.config.name
         else:
             base_latency = self.config.memory_latency
@@ -166,9 +170,10 @@ class MemoryHierarchy:
         # in-flight fill of the same L1 line when possible).
         line = addr // first.config.line_size
         if kind == "ifetch":
-            ready = now + base_latency   # ifetch misses bypass the MSHRs
+            # ifetch misses bypass the MSHRs.
+            ready = max(now + base_latency, floor)
         else:
-            ready = self.mshrs.allocate(line, now, base_latency)
+            ready = self.mshrs.allocate(line, now, base_latency, floor)
         latency = ready - now
 
         # Install the line at the missing levels; mark fills pending.

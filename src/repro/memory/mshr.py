@@ -48,12 +48,16 @@ class MSHRFile:
             return ready
         return None
 
-    def allocate(self, line: int, now: int, latency: int) -> int:
+    def allocate(self, line: int, now: int, latency: int,
+                 floor: int = 0) -> int:
         """Start a fill for ``line``; returns its completion cycle.
 
         Merges into an in-flight fill of the same line when present; when
         the file is full, the fill start is delayed until a register frees
-        up (and the delay is recorded in ``full_stall_cycles``).
+        up (and the delay is recorded in ``full_stall_cycles``).  The fill
+        completes ``latency`` cycles after it starts, and not before
+        ``floor``: the absolute ready cycle of a still-pending fill of the
+        serving level, which the delayed start does not postpone.
         """
         self._expire(now)
         pending = self.pending_ready(line, now)
@@ -66,7 +70,7 @@ class MSHRFile:
             self.full_stall_cycles += max(0, earliest - now)
             start = max(now, earliest)
             self._expire(start)
-        ready = start + latency
+        ready = max(start + latency, floor)
         heapq.heappush(self._completions, ready)
         self._by_line[line] = ready
         self.allocations += 1

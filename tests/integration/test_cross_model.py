@@ -5,9 +5,12 @@ Small-scale runs (footprints shrink with scale, so these check
 full-scale calibrated magnitudes — those are asserted by the benchmark
 suite)."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.harness import TraceCache, run_model
+from repro.harness import (ABLATION_FACTORIES, MODEL_FACTORIES, TraceCache,
+                           run_model)
 from repro.machine import MachineConfig
 from repro.memory.configs import config1_hierarchy
 
@@ -86,6 +89,25 @@ def test_alternate_hierarchy_slows_memory_workloads(cache):
         "inorder", trace,
         MachineConfig().with_hierarchy(config1_hierarchy()))
     assert slow.cycles > base.cycles   # 200- vs 145-cycle main memory
+
+
+@pytest.fixture(scope="module")
+def single_mshr():
+    """mcf at scale 0.05 on a machine with one MSHR, and inorder's cycles."""
+    trace = TraceCache(0.05).trace("mcf")
+    config = MachineConfig().with_hierarchy(
+        replace(MachineConfig().hierarchy, max_outstanding_misses=1))
+    return trace, config, run_model("inorder", trace, config).cycles
+
+
+@pytest.mark.parametrize("model", sorted(
+    (set(MODEL_FACTORIES) | set(ABLATION_FACTORIES)) - {"inorder"}))
+def test_single_mshr_miss_overlap_stays_bounded(single_mshr, model):
+    """With one MSHR there is no miss overlap to exploit, so no model may
+    take much longer than inorder (a pending lower-level fill once was
+    counted twice behind a full MSHR file, doubling the wait per miss)."""
+    trace, config, inorder_cycles = single_mshr
+    assert run_model(model, trace, config).cycles < 2 * inorder_cycles
 
 
 def test_summary_renders(results):

@@ -1,5 +1,7 @@
 """Tests for the memory hierarchy, MSHRs and the Fig. 7 configurations."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.memory import (MSHRFile, base_hierarchy, config1_hierarchy,
@@ -94,6 +96,19 @@ def test_mshr_limit_delays_seventeenth_miss():
     r = h.access(0x100000 + 16 * 4096, now=0)
     assert r.latency == 145 + 145      # waits for the first fill
     assert h.mshrs.full_stall_cycles == 145
+
+
+def test_pending_fill_is_a_floor_when_mshrs_are_full():
+    """An L2 hit on a line whose L2 fill is still in flight, behind a full
+    MSHR file, lands when the fill does (or one L2 latency after the
+    register frees) -- the remaining fill time is not added to the
+    delayed start."""
+    h = replace(base_hierarchy(), max_outstanding_misses=1).build()
+    first = h.access(0x1000, now=0)          # memory miss, ready at 145
+    r = h.access(0x1040, now=10)             # other L1 line, same L2 line
+    assert r.level == "L2"
+    assert r.ready == max(first.ready + 5, first.ready) == 150
+    assert h.mshrs.full_stall_cycles == 135
 
 
 def test_mshr_file_basics():

@@ -68,13 +68,11 @@ def _machine(hierarchy, mshrs, window, rob, queue, asc, mispredict,
 #: Machine configurations around the structure the kernels hard-code
 #: (the 64-slot event wheel, ready-queue compaction at 32 entries): OOO
 #: window and ROB, multipass queue, ASC and MSHR sizes, the three Fig. 7
-#: hierarchies, and the branch and value-flush refill penalties.  A
-#: single MSHR is left out: mcf already exceeds the cycle budget with one
-#: on every miss-overlapping model, scalar loops included.
+#: hierarchies, and the branch and value-flush refill penalties.
 configs = st.builds(
     _machine,
     hierarchy=st.sampled_from(sorted(HIERARCHIES)),
-    mshrs=st.sampled_from((2, 4, 16)),
+    mshrs=st.sampled_from((1, 2, 4, 16)),
     window=st.sampled_from((4, 16, 33, 128)),
     rob=st.sampled_from((8, 32, 65, 256)),
     queue=st.sampled_from((8, 24, 256)),
