@@ -137,22 +137,34 @@ python -m repro bench --smoke \
     --compare benchmarks/bench_smoke_baseline.json \
     || echo "bench --smoke: over the 25% threshold (informational only)"
 
+# perfbench_gate <workload>: one traced pass of a benchmark workload.
+# Fails when a layer the workload must exercise saw no calls (or a
+# forbidden one did), when the layer self times exceed the pass (run.py
+# exits 1), or when any cell's stats digest differs from
+# perfbench/reference.json ("correct": false).
+perfbench_gate() {
+    if ledger="$(python3 perfbench/run.py --workload "$1" \
+            --seconds 0 --trace 1)"; then
+        case "$ledger" in
+            *'"correct": false'*)
+                echo "perfbench: outputs differ from perfbench/reference.json"
+                fail ;;
+            *) echo "perfbench: ledger expectations and outputs hold" ;;
+        esac
+    else
+        fail
+    fi
+}
+
 step "perfbench traced-sweep ledger (per-layer expectations, outputs)"
-# One traced pass of the telemetry sweep: fails when a layer the
-# workload must exercise saw no calls (or a forbidden one did), when the
-# layer self times exceed the pass (run.py exits 1), or when any cell's
-# stats digest differs from perfbench/reference.json ("correct": false).
-if ledger="$(python3 perfbench/run.py --workload traced-sweep \
-        --seconds 0 --trace 1)"; then
-    case "$ledger" in
-        *'"correct": false'*)
-            echo "perfbench: outputs differ from perfbench/reference.json"
-            fail ;;
-        *) echo "perfbench: ledger expectations and outputs hold" ;;
-    esac
-else
-    fail
-fi
+# The telemetry sweep: 3 models x 12 programs at scale 0.25, ~5 s.
+perfbench_gate traced-sweep
+
+step "perfbench cold-sweep ledger (full-scale outputs, prep layers)"
+# 5 models x 12 programs at scale 1.0, ~25 s: the 60 full-scale digests
+# of every model over every trace the executor produces, and the
+# isa.execute / isa.decode / isa.columns expectations of the ledger.
+perfbench_gate cold-sweep
 
 step "repro trace / profile (telemetry round-trip)"
 trace_dir="$(mktemp -d)"

@@ -107,7 +107,7 @@ class FunctionalSimulator:
         # that are nullified, taken branches or memory operations; the
         # other columns are filled from these after the loop.
         pcs: List[int] = []
-        at = pcs.append
+        append_pc = pcs.append
         nullified: List[int] = []
         taken_seqs: List[int] = []
         mem_seqs: List[int] = []
@@ -117,7 +117,7 @@ class FunctionalSimulator:
         truncated = False
         for seq in range(self.max_instructions):
             kind, pred, d, a, b, imm, fn = code[pc]
-            at(pc)
+            append_pc(pc)
             if not regs[pred]:
                 # Nullified: writes nothing, falls through.
                 nullified.append(seq)
