@@ -186,6 +186,17 @@ python -m repro profile mcf --scale 0.05 --top 5 >/dev/null \
     || fail
 rm -rf "$trace_dir"
 
+step "examples (every script runs to completion)"
+# No test imports the examples; a non-zero exit from any of them fails
+# the gate.  pipeline_viewer.py runs mcf at scale 0.05 to stay short.
+for example in examples/*.py; do
+    args=""
+    [ "$example" = examples/pipeline_viewer.py ] && args="mcf 0.05"
+    echo "$example $args"
+    # shellcheck disable=SC2086
+    python "$example" $args >/dev/null || fail
+done
+
 close_gate
 echo
 echo "gate ledger:"

@@ -9,9 +9,9 @@ Commands:
 * ``sweep``    — run a (models x workloads) cell grid through the
   parallel engine with fault handling and the on-disk result cache
   (``--smoke`` is the fast end-to-end variant used by check.sh).
-* ``trace``    — run one (workload, model) cell with cycle-level event
-  tracing and export it as JSONL, a Chrome/Perfetto trace, or a
-  Konata-style text pipeline view.
+* ``trace``    — run one (workload, model) cell recording a timeline on
+  its production kernel and export it as JSONL, a Chrome/Perfetto
+  trace, or a Konata-style text pipeline view.
 * ``profile``  — stall-attribution profile: which static instructions
   the stalled cycles are charged to, per category, across models.
 * ``bench``    — wall-clock benchmark of the timing models over a fixed
@@ -46,6 +46,7 @@ import sys
 from .harness import (ABLATION_FACTORIES, MODEL_FACTORIES, TraceCache,
                       figure6, figure7, figure8, realistic_ooo_comparison,
                       run_model, runahead_comparison, table1)
+from .telemetry.export import FORMATS
 from .workloads import ALL_WORKLOADS, registry
 
 _FIGURES = {
@@ -363,41 +364,33 @@ def _cmd_diffcheck(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from .telemetry import (JsonlSink, RingBufferSink, TelemetrySink,
-                            Tracer, render_pipeview, write_chrome_trace)
+    from .telemetry import export_trace
 
     cache = TraceCache(args.scale)
     trace = cache.trace(args.workload)
     out = open(args.out, "w") if args.out else sys.stdout
     try:
-        if args.format == "jsonl":
-            sink = JsonlSink(out, limit=args.max_events)
-            run_model(args.model, trace, tracer=Tracer(sink))
-            sink.close()
-            if sink.suppressed:
-                print(f"trace: wrote {sink.emitted} event(s); "
-                      f"{sink.suppressed} over --max-events suppressed",
-                      file=sys.stderr)
-        else:
-            sink = (RingBufferSink(args.max_events)
-                    if args.max_events else TelemetrySink())
-            run_model(args.model, trace, tracer=Tracer(sink))
-            sink.close()
-            if getattr(sink, "dropped", 0):
-                print(f"trace: ring buffer kept the last "
-                      f"{len(sink.events)} event(s), dropped "
-                      f"{sink.dropped} older", file=sys.stderr)
-            if args.format == "chrome":
-                write_chrome_trace(sink.events, out, model=args.model,
-                                   workload=args.workload)
-            else:
-                out.write(render_pipeview(sink.events, trace))
+        written, recorded = export_trace(args.model, trace, args.format, out,
+                                         args.max_events)
     finally:
         if out is not sys.stdout:
             out.close()
-            print(f"trace: {args.format} written to {args.out}",
-                  file=sys.stderr)
+    if written < recorded:
+        which = "first" if args.format == "jsonl" else "last"
+        print(f"trace: kept the {which} {written} of {recorded} record(s) "
+              f"(--max-events)", file=sys.stderr)
+    if args.out:
+        print(f"trace: {args.format} written to {args.out}",
+              file=sys.stderr)
     return 0
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
 
 
 def _cmd_profile(args) -> int:
@@ -477,15 +470,15 @@ def main(argv=None) -> int:
                      choices=sorted({**MODEL_FACTORIES,
                                      **ABLATION_FACTORIES}))
     trc.add_argument("--scale", type=float, default=0.05)
-    trc.add_argument("--format", default="jsonl",
-                     choices=("jsonl", "chrome", "pipeview"),
-                     help="jsonl: one event per line; chrome: "
+    trc.add_argument("--format", default="jsonl", choices=FORMATS,
+                     help="jsonl: one record per line; chrome: "
                           "Perfetto/chrome://tracing JSON; pipeview: "
                           "Konata-style text pipeline diagram")
     trc.add_argument("--out", metavar="FILE", default=None,
                      help="output file (default: stdout)")
-    trc.add_argument("--max-events", type=int, default=None,
-                     help="bound the exported event count (jsonl keeps "
+    trc.add_argument("--max-events", type=_positive_int, default=None,
+                     metavar="N",
+                     help="bound the exported record count (jsonl keeps "
                           "the first N, chrome/pipeview the last N)")
     trc.set_defaults(fn=_cmd_trace)
 

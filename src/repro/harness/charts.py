@@ -7,10 +7,11 @@ speedup bars, and the multipass mode strip — all as plain text.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from ..multipass.core import Mode
 from ..pipeline.stats import SimStats, StallCategory
+from ..telemetry.timeline import Timeline
 from .experiment import Matrix
 
 #: One fill character per Fig. 6 stall category.
@@ -79,23 +80,30 @@ def speedup_bars(speedups: Dict[str, float], width: int = 50,
     return "\n".join(lines)
 
 
-def mode_strip(mode_log: Iterable[Tuple[int, Mode, int, int]],
-               width: int = 72) -> str:
-    """Compress a multipass per-cycle mode log into a strip.
+def mode_strip(timeline: Timeline, width: int = 72) -> str:
+    """Compress the mode spans of a multipass run into a strip.
 
     Each output character summarizes a bucket of cycles: ``-`` pure
     architectural, ``A`` advance-dominated, ``R`` rally-dominated, and
     ``m`` for mixed buckets.
     """
-    log = list(mode_log)
-    if not log:
-        return "(mode recording was not enabled)"
-    total = log[-1][0] + 1
-    bucket = max(1, total // width)
+    spans = list(zip(timeline.mode_start, timeline.mode_cycles,
+                     timeline.mode_name))
+    if not spans:
+        return "(no mode spans recorded)"
+    last_start, last_cycles, _ = spans[-1]
+    bucket = max(1, (last_start + last_cycles) // width)
     counts: List[Dict[Mode, int]] = [dict() for _ in range(width + 1)]
-    for cycle, mode, _arch, _adv in log:
-        slot = min(width, cycle // bucket)
-        counts[slot][mode] = counts[slot].get(mode, 0) + 1
+    for cycle, cycles, name in spans:
+        mode = Mode(name)
+        end = cycle + cycles
+        while cycle < end:
+            # The cycles of this span that fall in one bucket (the last
+            # bucket takes everything from width * bucket on).
+            slot = min(width, cycle // bucket)
+            stop = end if slot == width else min(end, (slot + 1) * bucket)
+            counts[slot][mode] = counts[slot].get(mode, 0) + stop - cycle
+            cycle = stop
     chars = []
     for slot_counts in counts:
         if not slot_counts:

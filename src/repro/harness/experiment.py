@@ -69,14 +69,13 @@ def make_model(model: str, trace: Trace,
                check: bool = False, tracer=None, slow: bool = False):
     """Instantiate one named model (including ablations) over a trace.
 
-    ``tracer`` attaches a recorder: a
-    :class:`~repro.telemetry.timeline.Timeline` (recorded on the
-    production kernels) or an event
-    :class:`~repro.telemetry.events.Tracer` (scalar reference loops);
-    the default (off) costs one flag check per recording site, and
-    stats are bit-identical either way.
-    ``slow`` selects the cycle-by-cycle reference loop (no stall
-    fast-forwarding) — the differential baseline for the fast path.
+    ``tracer`` attaches a :class:`~repro.telemetry.timeline.Timeline`,
+    recorded on whichever loop runs; the default (``None``, off) costs
+    one flag check per recording site, and stats are bit-identical
+    either way.  ``slow`` selects the cycle-by-cycle reference loop (no
+    stall fast-forwarding) — the differential baseline for the
+    production kernels, and the only way to run the OOO and multipass
+    scalar loops.
     """
     factories = {**MODEL_FACTORIES, **ABLATION_FACTORIES}
     if model not in factories:

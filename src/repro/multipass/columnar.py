@@ -1,8 +1,8 @@
 """Event-driven columnar kernel for the multipass-family cores.
 
 Drop-in replacement for the scalar cycle loop in
-:mod:`repro.multipass.core` (kept there as the ``--slow``/event-tracer/
-``record_modes`` reference): same machine, same statistics,
+:mod:`repro.multipass.core` (kept there as the ``--slow`` reference):
+same machine, same statistics,
 bit-identical cycle counts and stall attribution, but the per-cycle
 *work* is restructured around preallocated flat columns, following the
 PR 7 OOO kernel (:mod:`repro.ooo.columnar`):
@@ -43,17 +43,17 @@ PR 7 OOO kernel (:mod:`repro.ooo.columnar`):
   line is absent or a fill is pending — same stats, same LRU clocks,
   same MSHR effects).
 
-Mode-machine equivalence: the kernel replicates the scalar ``run()``
+Mode-machine equivalence: the kernel replicates the scalar loop
 cycle-for-cycle — fetch, rally entry at ``trigger_ready``, the advance
 slot loop (RS probe, RESTART, operand classification, port budgeting,
 defer/execute), the architectural/rally issue loop (merge, S-bit
-verification, in-order issue, branch resolve) and the two fast-forward
-skips with their replicated poll counters — so every counter, the
-4-way stall breakdown and the retired stream are bit-identical.  The
-differential suites (``tests/property/test_columnar.py``,
-``tests/property/test_fast_path.py``), the idle-skip boundary sweep
-and the golden matrix pin all of this against the scalar loop; see
-``docs/architecture.md`` §13.
+verification, in-order issue, branch resolve) — and its two
+fast-forward skips jump over pure-poll cycles the scalar loop steps one
+by one, replicating their poll counters, so every counter, the 4-way
+stall breakdown and the retired stream are bit-identical.  The
+differential suite (``tests/property/test_columnar.py``), the idle-skip
+boundary sweeps and the golden matrix pin all of this against the
+scalar loop; see ``docs/architecture.md`` §13.
 
 Recording: a core whose tracer is a
 :class:`~repro.telemetry.timeline.Timeline` runs this kernel too.  The
@@ -73,7 +73,9 @@ from ..pipeline.eventq import WHEEL, EventCalendar
 from ..pipeline.stats import SimStats, StallCategory
 from .asc import INVALID
 
-#: "No internal event" fast-forward hint (see ``multipass.core``).
+#: "No internal event": a fast-forward hint meaning the issue logic found
+#: nothing that could change on its own — the skip is bounded only by the
+#: mode deadline (``trigger_ready``) and the front end.
 _INF = 1 << 62
 
 
@@ -296,7 +298,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     # Timeline recording, decided here once: ``rec`` guards every
     # recording site (see docs/architecture.md §13 for what each one
     # records and where the scalar loop records the same thing).
-    tl = core.tracer if core.tracer.enabled else None
+    tl = core.tracer
     rec = tl is not None
     if rec:
         tl_charge = tl.charge
@@ -454,8 +456,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                         if rec:
                             for k in range(count):
                                 seq = adv_ptr + k
-                                tl.rs_hit(now + k // width, seq, d_pc[seq],
-                                          "advance")
+                                tl.rs_hit(now + k // width, seq, "advance")
                             # Merges are not executions: every replayed
                             # cycle is charged to the trigger load.
                             tl_charge(now, LOAD, trigger_seq,
@@ -511,7 +512,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             srf_ready[dest] = now
                         n_advance_merges += 1
                         if rec:
-                            tl.rs_hit(now, seq, d_pc[seq], "advance")
+                            tl.rs_hit(now, seq, "advance")
                         adv_ptr = seq + 1
                         slots += 1
                         continue
@@ -566,8 +567,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             adv_stall_until = refill
                             n_advance_restarts += 1
                             if rec:
-                                tl.restart(now, trigger_seq,
-                                           d_pc[trigger_seq])
+                                tl.restart(now, trigger_seq)
                             wake = None
                             peeks = 0
                             restarted = True
@@ -690,7 +690,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
 
                     n_advance_execs += 1
                     if rec:
-                        tl.issue(now, seq, d_pc[seq], "advance")
+                        tl.issue(now, seq, "advance")
                     k = d_kind[seq]
                     if k == 1:
                         # Predicate-nullified: flows through.
@@ -804,7 +804,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                                        if fill_wait > l1d_latency
                                        else l1d_latency)
                                 if rec:
-                                    tl_miss(now, seq, d_pc[seq], l1d_name)
+                                    tl_miss(now, seq, l1d_name)
                             else:
                                 l1_miss = False
                                 lat = l1d_latency
@@ -821,7 +821,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             l1_miss = result.l1_miss
                             res_ready = result.ready
                             if rec and l1_miss:
-                                tl_miss(now, seq, d_pc[seq], result.level)
+                                tl_miss(now, seq, result.level)
                         n_advance_loads += 1
                         if outcome == 1:       # ASC hit: forward
                             for dest in d_dests[seq]:
@@ -967,8 +967,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             n_advance_restarts += 1
                             n_hw_restarts += 1
                             if rec:
-                                tl.restart(now, trigger_seq,
-                                           d_pc[trigger_seq])
+                                tl.restart(now, trigger_seq)
                             wake = None
 
             if adv_ptr > max_peek:
@@ -1134,7 +1133,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             pending[dest] = 0
                     if rec:
                         for seq in range(aptr, aptr + width):
-                            tl.rs_hit(cyc, seq, d_pc[seq], "rally")
+                            tl.rs_hit(cyc, seq, "rally")
                         tl.commit_many(cyc, range(aptr, aptr + width))
                     aptr += width
                     cyc += 1
@@ -1189,7 +1188,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                     if replay is not None:
                         replay.commit(entries[seq])
                     if rec:
-                        tl.rs_hit(now, seq, d_pc[seq], "rally")
+                        tl.rs_hit(now, seq, "rally")
                     for dest in d_dests[seq]:
                         reg_ready[dest] = now
                         pending[dest] = 0
@@ -1257,7 +1256,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                         latency = (fill_wait if fill_wait > l1d_latency
                                    else l1d_latency)
                         if rec:
-                            tl_miss(now, seq, d_pc[seq], l1d_name)
+                            tl_miss(now, seq, l1d_name)
                     else:
                         l1_miss = False
                         latency = l1d_latency
@@ -1273,7 +1272,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                     latency = result.latency
                     l1_miss = result.l1_miss
                     if rec and l1_miss:
-                        tl_miss(now, seq, d_pc[seq], result.level)
+                        tl_miss(now, seq, result.level)
                 n_instructions += 1
                 if replay is not None:
                     replay.commit(entries[seq])
@@ -1375,7 +1374,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                                        if fill_wait > l1d_latency
                                        else l1d_latency)
                             if rec:
-                                tl_miss(now, seq, d_pc[seq], l1d_name)
+                                tl_miss(now, seq, l1d_name)
                         else:
                             latency = l1d_latency
                     else:
@@ -1392,7 +1391,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                         if l1_miss:
                             n_load_misses += 1
                             if rec:
-                                tl_miss(now, seq, d_pc[seq], result.level)
+                                tl_miss(now, seq, result.level)
                     else:
                         access(addr, now, kind="store")
                         mem_vals[addr] = d_value[seq]
@@ -1437,7 +1436,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
             if replay is not None:
                 replay.commit(entries[seq])
             if rec:
-                tl.issue(now, seq, d_pc[seq])
+                tl.issue(now, seq)
             issued += 1
             aptr = seq + 1
             if d_branch[seq]:

@@ -23,15 +23,13 @@ Ablation flags reproduce Figure 8 (``enable_regroup``/``enable_restart``),
 and disabling result persistence (``persist_results=False``) with both
 ablations yields the Dundas–Mudge runahead model of Figure 1(b).
 
-The simulation loop has a fast path (see
-:meth:`~repro.pipeline.base.BaseCore.next_event_cycle`): cycles that are
-provably pure polls — nothing can change before a known wake-up cycle —
-are charged as one span with the per-cycle poll counters replicated, so
-stats stay bit-identical to the cycle-by-cycle loop.  ``slow=True``
-disables the skips; an event tracer and ``record_modes`` also force the
-per-cycle loop because they observe every cycle (a
-:class:`~repro.telemetry.timeline.Timeline` records on the columnar
-kernel instead).
+Two loops run this machine.  The columnar kernel
+(:mod:`repro.multipass.columnar`) is the production path, untraced or
+recording a :class:`~repro.telemetry.timeline.Timeline`; it charges
+provably idle cycles as one span with the per-cycle poll counters
+replicated.  The scalar loop here steps every cycle and runs only under
+``slow=True``: it is the specification the kernel is pinned against,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -46,16 +44,10 @@ from ..isa.trace import Trace, TraceEntry
 from ..machine import MachineConfig
 from ..pipeline.base import BaseCore
 from ..pipeline.stats import SimStats, StallCategory
-from ..telemetry.events import Tracer
 from .asc import (HIT, HIT_INVALID, INVALID, MISS_SPECULATIVE,
                   AdvanceStoreCache)
 from .columnar import run_columnar
 from .result_store import ResultStore, RSEntry
-
-#: "No internal event": a fast-forward hint meaning the issue logic found
-#: nothing that could change on its own — the skip is bounded only by the
-#: mode deadline (``trigger_ready``) and the front end.
-_INF = 1 << 62
 
 
 class Mode(enum.Enum):
@@ -76,7 +68,6 @@ class MultipassCore(BaseCore):
                  hardware_restart: bool = False,
                  hw_restart_window: int = 16,
                  hw_restart_fraction: float = 0.125,
-                 record_modes: bool = False,
                  check: bool = False, tracer=None, slow: bool = False):
         config = config or MachineConfig()
         super().__init__(trace, config, config.multipass_queue_size,
@@ -101,11 +92,6 @@ class MultipassCore(BaseCore):
         self.hw_restart_fraction = hw_restart_fraction
         self._pass_execs = 0
         self._pass_defers = 0
-        #: Optional per-cycle mode log [(cycle, Mode, arch_ptr, adv_ptr)]
-        #: for visualization (see examples/pipeline_viewer.py); off by
-        #: default to keep the simulation loop lean.
-        self.record_modes = record_modes
-        self.mode_log = []
         #: Runahead's checkpoint-restore penalty on rally entry (paper
         #: Section 3.1.3): a column-level flag rather than a subclass
         #: hook so the columnar kernel inherits it the same way it
@@ -237,9 +223,8 @@ class MultipassCore(BaseCore):
                          - self.config.advance_restart_refill)
         self.adv_stall_until = refill
         self.stats.counters["advance_restarts"] += 1
-        if self.tracer.enabled:
-            trigger = self.trace.entries[self.trigger_seq]
-            self.tracer.restart(now, trigger.seq, trigger.inst.index)
+        if self.tracer is not None:
+            self.tracer.restart(now, self.trigger_seq)
 
     def _enter_rally(self, now: int) -> None:
         """The trigger operand arrived: resume the architectural stream.
@@ -299,22 +284,10 @@ class MultipassCore(BaseCore):
     # advance-mode issue
     # ------------------------------------------------------------------
 
-    def _issue_advance_cycle(self, now: int):
-        """Issue one advance-mode cycle.
-
-        Returns ``(new_execs, wake, peeks)``.  ``wake`` is the
-        fast-forward hint for this cycle: ``None`` means state changed
-        (not skippable); a cycle number means the cycle was a pure poll
-        that repeats identically until then; ``_INF`` means there is no
-        advance-internal event at all (window edge / dead pass), so the
-        skip is bounded only by ``trigger_ready`` and the front end.
-        ``peeks`` is the per-cycle ``iq_peeks`` poll count to replicate
-        over skipped cycles.
-        """
-        if self.pass_dead:
-            return 0, _INF, 0
-        if now < self.adv_stall_until:
-            return 0, self.adv_stall_until, 0
+    def _issue_advance_cycle(self, now: int) -> int:
+        """Issue one advance-mode cycle; returns its new executions."""
+        if self.pass_dead or now < self.adv_stall_until:
+            return 0
         dec = self.trace.decoded
         d_srcs = dec.srcs
         d_dests = dec.dests
@@ -322,7 +295,7 @@ class MultipassCore(BaseCore):
         entries = self.trace.entries
         counters = self.stats.counters
         rs_get = self.rs.get if self.persist_results else None
-        tel = self.tracer if self.tracer.enabled else None
+        tel = self.tracer
         ports = self.config.ports
         m_ports = ports.m_ports
         i_ports = ports.i_ports
@@ -342,12 +315,9 @@ class MultipassCore(BaseCore):
         width = self.config.ports.width
         slots = 0
         new_execs = 0
-        wake = _INF
-        peeks = 0
 
         while self.adv_ptr < window_end and slots < width:
             seq = self.adv_ptr
-            wake = None
             counters["iq_peeks"] += 1
 
             rs_entry = rs_get(seq) if rs_get is not None else None
@@ -370,8 +340,7 @@ class MultipassCore(BaseCore):
                     poison_stamp[dest] = 0
                 counters["advance_merges"] += 1
                 if tel is not None:
-                    tel.rs_hit(now, seq, entries[seq].inst.index,
-                               mode="advance")
+                    tel.rs_hit(now, seq, mode="advance")
                 self.adv_ptr = seq + 1
                 slots += 1
                 continue
@@ -388,7 +357,7 @@ class MultipassCore(BaseCore):
                             hints.append(pending[src])
                     self._advance_restart(now, max(hints) if hints
                                           else None)
-                    return new_execs, None, 0
+                    return new_execs
                 self.adv_ptr = seq + 1
                 slots += 1
                 continue
@@ -396,14 +365,7 @@ class MultipassCore(BaseCore):
             status, wait_until = self._advance_source_state(d_srcs[seq],
                                                             now)
             if status == "wait":
-                # In-order advance stream waits for a bypass.  Breaking
-                # on the very first slot is a pure poll (only the peek
-                # counter moved) and repeats identically every cycle
-                # until the bypass arrives.
-                if slots == 0:
-                    wake = wait_until
-                    peeks = 1
-                break
+                break                  # in-order: wait for the bypass
 
             if status == "invalid":
                 new_execs += self._defer_advance(entries[seq], now)
@@ -441,35 +403,31 @@ class MultipassCore(BaseCore):
             if self.pass_dead:
                 break
         if self.hardware_restart and not self.pass_dead:
-            if self._maybe_hardware_restart(now):
-                wake = None
-        return new_execs, wake, peeks
+            self._maybe_hardware_restart(now)
+        return new_execs
 
-    def _maybe_hardware_restart(self, now: int) -> bool:
+    def _maybe_hardware_restart(self, now: int) -> None:
         """Footnote-1 mechanism: restart a fruitless pass on its own.
 
         Fires when the current pass is dominated by deferrals and a
         poisoned value has a known arrival time to rendezvous with;
         without an in-flight fill nothing would change, so the pass is
-        left to keep prefetching instead.  Returns True when it fired.
-        Every blocker is stable or monotone while the pass is idle, so a
-        non-firing check stays non-firing across a fast-forward span.
+        left to keep prefetching instead.
         """
         processed = self._pass_execs + self._pass_defers
         if processed < self.hw_restart_window:
-            return False
+            return
         if self._pass_execs >= processed * self.hw_restart_fraction:
-            return False
+            return
         epoch = self._srf_epoch
         pready_stamp = self._pready_stamp
         pready_val = self._pready_val
         pending = [pready_val[r] for r in range(NUM_REGS)
                    if pready_stamp[r] == epoch and pready_val[r] > now]
         if not pending:
-            return False
+            return
         self._advance_restart(now, min(pending))
         self.stats.counters["hardware_restarts"] += 1
-        return True
 
     def _defer_advance(self, entry: TraceEntry, now: int) -> int:
         """Suppress an advance instruction with invalid operands."""
@@ -514,8 +472,8 @@ class MultipassCore(BaseCore):
         dec = self._dec
         seq = entry.seq
         self.stats.counters["advance_executions"] += 1
-        if self.tracer.enabled:
-            self.tracer.issue(now, seq, dec.pc[seq], mode="advance")
+        if self.tracer is not None:
+            self.tracer.issue(now, seq, mode="advance")
 
         if not dec.executed[seq]:
             # Predicate-nullified: flows through, nothing to preserve.
@@ -586,9 +544,8 @@ class MultipassCore(BaseCore):
         outcome, _forwarded = self.asc.read(addr)
         result = self.hierarchy.access(addr, now)   # prefetch effect
         self.stats.counters["advance_loads"] += 1
-        if result.l1_miss and self.tracer.enabled:
-            self.tracer.cache_miss(now, entry.seq, entry.inst.index,
-                                   result.level)
+        if result.l1_miss and self.tracer is not None:
+            self.tracer.cache_miss(now, entry.seq, result.level)
 
         epoch = self._srf_epoch
         srf_stamp = self._srf_stamp
@@ -659,9 +616,8 @@ class MultipassCore(BaseCore):
         self.rs.pop(entry.seq)
         self.stats.counters["rally_merges"] += 1
         self.stats.instructions += 1
-        if self.tracer.enabled:
-            self.tracer.rs_hit(now, entry.seq, entry.inst.index,
-                               mode="rally")
+        if self.tracer is not None:
+            self.tracer.rs_hit(now, entry.seq, mode="rally")
         self.commit_entry(entry, now)
         for dest in entry.dests:
             self.reg_ready[dest] = now
@@ -691,9 +647,8 @@ class MultipassCore(BaseCore):
         self.stats.counters["sbit_verifications"] += 1
         self.stats.counters["smaq_reads"] += 1
         result = self.hierarchy.access(rs_entry.addr, now)
-        if result.l1_miss and self.tracer.enabled:
-            self.tracer.cache_miss(now, entry.seq, entry.inst.index,
-                                   result.level)
+        if result.l1_miss and self.tracer is not None:
+            self.tracer.cache_miss(now, entry.seq, result.level)
         if rs_entry.value == entry.value:
             self.stats.instructions += 1
             self.commit_entry(entry, now)
@@ -718,20 +673,17 @@ class MultipassCore(BaseCore):
     # ------------------------------------------------------------------
 
     def run(self, max_cycles: int = 500_000_000) -> SimStats:
-        """Route to the columnar kernel or the scalar reference loop.
+        """Run the columnar kernel, or the scalar loop under ``--slow``.
 
         The columnar kernel (:mod:`repro.multipass.columnar`) is the
         production path, untraced or recording into a
         :class:`~repro.telemetry.timeline.Timeline`.  The scalar loop
-        below is the bit-identity reference; it serves ``--slow``, an
-        event :class:`~repro.telemetry.events.Tracer` (``repro trace``),
-        ``record_modes`` (which logs every cycle) and an instance-level
-        override of the advance-issue hook (how tests instrument the
-        per-cycle advance stream).  Stats are bit-identical either way —
-        the differential suites pin it.
+        below steps every cycle and is the bit-identity reference;
+        ``slow=True`` is the only way to run it.  Stats and recorded
+        timelines are identical either way — the differential suites
+        pin it.
         """
-        if (self.slow or isinstance(self.tracer, Tracer) or self.record_modes
-                or "_issue_advance_cycle" in self.__dict__):
+        if self.slow:
             return self._run_scalar(max_cycles)
         return run_columnar(self, max_cycles)
 
@@ -741,13 +693,7 @@ class MultipassCore(BaseCore):
         frontend = self.frontend
         stats = self.stats
         counters = stats.counters
-        tel = self.tracer if self.tracer.enabled else None
-        record = self.record_modes
-        # The fast path requires that nothing observes individual cycles:
-        # tracing emits a per-cycle mode event and record_modes logs one,
-        # so both force the reference loop (stats are identical either
-        # way — the differential suite pins it).
-        fast = not self.slow and tel is None and not record
+        tel = self.tracer
         check = self.check
         dec = self.trace.decoded
         d_srcs = dec.srcs
@@ -798,14 +744,11 @@ class MultipassCore(BaseCore):
 
             if self.mode is ADVANCE and now >= self.trigger_ready:
                 self._enter_rally(now)
-            if record:
-                self.mode_log.append((now, self.mode, self.arch_ptr,
-                                      self.adv_ptr))
             if tel is not None:
                 tel.mode(now, self.mode.value)
 
             if self.mode is ADVANCE:
-                new_execs, wake, peeks = self._issue_advance_cycle(now)
+                new_execs = self._issue_advance_cycle(now)
                 if check:
                     self._invariant(
                         self.adv_ptr >= self.arch_ptr,
@@ -824,27 +767,10 @@ class MultipassCore(BaseCore):
                     if tel is not None:
                         # Attributed to the load that triggered advance
                         # mode — the same charging rule as the stats.
-                        trig = entries[self.trigger_seq]
-                        tel.charge(now, LOAD,
-                                   seq=trig.seq, pc=trig.inst.index)
+                        trig = self.trigger_seq
+                        tel.charge(now, LOAD, seq=trig, pc=dec.pc[trig])
                 counters["advance_cycles"] += 1
                 now += 1
-                if fast and wake is not None and not new_execs:
-                    # Nothing can change before min(wake, trigger_ready):
-                    # jump there, replicating the per-cycle attribution
-                    # (zero-execution advance cycles charge LOAD) and
-                    # the per-cycle poll counters.
-                    target = wake if wake < self.trigger_ready \
-                        else self.trigger_ready
-                    skip_to = self.next_event_cycle(now, target,
-                                                    self.arch_ptr)
-                    if skip_to > now:
-                        k = skip_to - now
-                        c_load += k
-                        counters["advance_cycles"] += k
-                        if peeks:
-                            counters["iq_peeks"] += peeks * k
-                        now = skip_to
                 continue
 
             if now < self.arch_stall_until:
@@ -852,36 +778,21 @@ class MultipassCore(BaseCore):
                 if tel is not None:
                     tel.charge(now, OTHER)
                 now += 1
-                if fast:
-                    skip_to = self.next_event_cycle(
-                        now, self.arch_stall_until, self.arch_ptr)
-                    if skip_to > now:
-                        c_other += skip_to - now
-                        now = skip_to
                 continue
 
             # ---- architectural / rally issue (inlined hot loop) ------
-            # ``wake`` is the fast-forward hint for zero-issue cycles
-            # (None: state changed, not skippable; _INF: a pure front-end
-            # stall; a cycle: a pure operand/WAW stall repeating
-            # identically until then); ``dq``/``waw_poll`` are the
-            # per-cycle iq_dequeues/waw_stalls poll counts to replicate
-            # over skipped cycles.
             fetched_until = frontend.fetched_until
             m_used = i_used = f_used = b_used = 0
             issued = 0
             reason = None
             wait_until = now + 1
             trigger = None
-            wake = _INF
-            dq = waw_poll = 0
             aptr = self.arch_ptr
             rallying = aptr < self.max_peek
             dynamic_groups = enable_regroup and rallying
 
             while aptr < fetched_until and issued < width:
                 seq = aptr
-                wake = None
                 counters["iq_dequeues"] += 1
 
                 rs_entry = rs_peek(seq) if rs_peek is not None else None
@@ -953,13 +864,6 @@ class MultipassCore(BaseCore):
                     if load_wait:
                         reason = LOAD
                         trigger = entries[seq]
-                    elif issued == 0:
-                        # Pure operand poll: the break repeats
-                        # identically every cycle until the producers
-                        # complete.
-                        reason = OTHER
-                        wake = wait_until
-                        dq = 1
                     else:
                         reason = OTHER
                     break
@@ -976,9 +880,7 @@ class MultipassCore(BaseCore):
                         if l1_miss:
                             counters["l1d_load_misses"] += 1
                             if tel is not None:
-                                tel.cache_miss(now, seq,
-                                               entries[seq].inst.index,
-                                               result.level)
+                                tel.cache_miss(now, seq, result.level)
                     else:
                         addr = d_addr[seq]
                         access(addr, now, kind="store")
@@ -1001,17 +903,6 @@ class MultipassCore(BaseCore):
                     wait_until = stall
                     reason = LOAD if load_horizon else OTHER
                     counters["waw_stalls"] += 1
-                    if issued == 0 and not mem and waw_count == 1:
-                        # Pure WAW poll (no cache access to repeat,
-                        # single conflicting register so the category is
-                        # stable).  The stall ends as soon as the
-                        # in-flight writer's completion no longer
-                        # exceeds now + latency.
-                        wake = wait_until - latency
-                        if load_horizon and load_horizon < wake:
-                            wake = load_horizon
-                        dq = 1
-                        waw_poll = 1
                     break
 
                 if code == 0:
@@ -1030,7 +921,7 @@ class MultipassCore(BaseCore):
                     pending[d] = done if l1_miss else 0
                 stats.instructions += 1
                 if tel is not None:
-                    tel.issue(now, seq, entries[seq].inst.index)
+                    tel.issue(now, seq)
                     self.commit_entry(entries[seq], now)
                 elif replay is not None:
                     replay.commit(entries[seq])
@@ -1053,12 +944,10 @@ class MultipassCore(BaseCore):
             self.arch_ptr = aptr
             # ---- end inlined issue loop ------------------------------
 
-            in_rally = self.mode is RALLY
-            if in_rally:
+            if self.mode is RALLY:
                 counters["rally_cycles"] += 1
                 if aptr >= self.max_peek and rs.max_seq() < aptr:
                     self.mode = ARCH
-                    in_rally = False
 
             front_end_stall = aptr >= frontend.fetched_until
             if issued:
@@ -1068,43 +957,23 @@ class MultipassCore(BaseCore):
             elif front_end_stall:
                 c_fe += 1
                 if tel is not None:
-                    blocked = entries[aptr] if aptr < n else None
-                    tel.charge(now, FRONT_END,
-                               seq=blocked.seq if blocked else -1,
-                               pc=blocked.inst.index if blocked else -1)
+                    if aptr < n:
+                        tel.charge(now, FRONT_END, seq=aptr,
+                                   pc=dec.pc[aptr])
+                    else:
+                        tel.charge(now, FRONT_END)
             else:
                 if reason is LOAD:
                     c_load += 1
                 else:
                     c_other += 1
                 if tel is not None:
-                    blocked = entries[aptr]
-                    tel.charge(now, reason or OTHER,
-                               seq=blocked.seq, pc=blocked.inst.index)
+                    tel.charge(now, reason or OTHER, seq=aptr,
+                               pc=dec.pc[aptr])
             now += 1
 
             if trigger is not None and wait_until > now:
                 self._enter_advance(trigger, wait_until, now)
-            elif fast and not issued and wake is not None:
-                # A pure stall cycle: every cycle until the wake target
-                # repeats the same poll with the same attribution, so
-                # jump the clock and replicate the poll counters.
-                skip_to = self.next_event_cycle(now, wake, aptr)
-                if now < skip_to < _INF:
-                    k = skip_to - now
-                    if front_end_stall:
-                        c_fe += k
-                    elif reason is LOAD:
-                        c_load += k
-                    else:
-                        c_other += k
-                    if in_rally:
-                        counters["rally_cycles"] += k
-                    if dq:
-                        counters["iq_dequeues"] += k
-                    if waw_poll:
-                        counters["waw_stalls"] += k
-                    now = skip_to
 
         breakdown = stats.cycle_breakdown
         breakdown[EXECUTION] += c_exec

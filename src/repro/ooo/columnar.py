@@ -1,9 +1,9 @@
 """Event-driven columnar kernel for the out-of-order cores (gen 2).
 
 Drop-in replacement for the scalar cycle loop in
-:mod:`repro.ooo.core` (kept there as the ``--slow``/event-tracer
-reference; a :class:`~repro.telemetry.timeline.Timeline` records on
-this kernel, behind one ``rec`` flag fixed at entry):
+:mod:`repro.ooo.core` (kept there as the ``--slow`` reference; a
+:class:`~repro.telemetry.timeline.Timeline` records on this kernel,
+behind one ``rec`` flag fixed at entry):
 same machine, same statistics, bit-identical cycle counts and stall
 attribution, but the per-cycle *work* is restructured around
 preallocated flat columns and a shared event calendar
@@ -229,7 +229,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     # Timeline recording, decided here once: ``rec`` guards every
     # recording site (see docs/architecture.md §13 for what each one
     # records and where the scalar loop records the same thing).
-    tl = core.tracer if core.tracer.enabled else None
+    tl = core.tracer
     rec = tl is not None
     if rec:
         tl_charge = tl.charge
@@ -617,7 +617,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                                 else:
                                     latency = l1d_latency
                                 if rec:
-                                    tl_miss(now, seq, d_pc[seq], l1d_name)
+                                    tl_miss(now, seq, l1d_name)
                             else:
                                 latency = l1d_latency
                     elif d_load[seq]:
@@ -666,7 +666,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             n_load_misses += 1
                             load_wait[seq] = 1
                             if rec:
-                                tl_miss(now, seq, d_pc[seq], l2_name)
+                                tl_miss(now, seq, l2_name)
                         else:
                             l1d_cache.accesses = l1d_acc
                             l1d_cache.hits = l1d_hit
@@ -682,8 +682,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                                 n_load_misses += 1
                                 load_wait[seq] = 1
                                 if rec:
-                                    tl_miss(now, seq, d_pc[seq],
-                                            result.level)
+                                    tl_miss(now, seq, result.level)
                     else:
                         l1d_cache.accesses = l1d_acc
                         l1d_cache.hits = l1d_hit

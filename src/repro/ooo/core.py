@@ -23,7 +23,7 @@ the front end when the instruction queue is empty.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..isa.columns import columns_of
 from ..isa.opcodes import FUClass
@@ -32,7 +32,6 @@ from ..isa.trace import Trace, TraceEntry
 from ..machine import MachineConfig
 from ..pipeline.base import BaseCore
 from ..pipeline.stats import SimStats, StallCategory
-from ..telemetry.events import Tracer
 from .columnar import run_columnar
 
 #: Sentinel wake-up target meaning "no in-flight completion at all".
@@ -101,16 +100,16 @@ class OutOfOrderCore(BaseCore):
     # ------------------------------------------------------------------
 
     def run(self, max_cycles: int = 500_000_000) -> SimStats:
-        """Route to the columnar kernel or the scalar reference loop.
+        """Run the columnar kernel, or the scalar loop under ``--slow``.
 
         The event-driven columnar kernel (:mod:`repro.ooo.columnar`) is
         the production path, untraced or recording into a
-        :class:`~repro.telemetry.timeline.Timeline`.  ``--slow`` and an
-        event :class:`~repro.telemetry.events.Tracer` (``repro trace``)
-        take the scalar cycle loop below, which doubles as the
-        bit-identity reference.  Both paths support ``--check`` replay.
+        :class:`~repro.telemetry.timeline.Timeline`.  The scalar loop
+        below steps every cycle and is the bit-identity reference;
+        ``slow=True`` is the only way to run it.  Both paths support
+        ``--check`` replay.
         """
-        if self.slow or isinstance(self.tracer, Tracer):
+        if self.slow:
             return self._run_scalar(max_cycles)
         return run_columnar(self, max_cycles)
 
@@ -157,7 +156,7 @@ class OutOfOrderCore(BaseCore):
         # into stats.cycle_breakdown after the loop.
         c_exec = c_fe = c_load = c_other = 0
 
-        tel = self.tracer if self.tracer.enabled else None
+        tel = self.tracer
         replay = self.replay
         rob: List[_RobEntry] = []         # in seq order
         waiting: List[_RobEntry] = []     # un-issued entries, in seq order
@@ -302,12 +301,11 @@ class OutOfOrderCore(BaseCore):
                             if result.l1_miss:
                                 counters["l1d_load_misses"] += 1
                                 if tel is not None:
-                                    tel.cache_miss(now, seq, d_pc[seq],
-                                                   result.level)
+                                    tel.cache_miss(now, seq, result.level)
                         else:
                             access(d_addr[seq], now, kind="store")
                     if tel is not None:
-                        tel.issue(now, seq, d_pc[seq])
+                        tel.issue(now, seq)
                     rob_entry.issued = True
                     ready = now + latency
                     rob_entry.ready = ready
@@ -397,46 +395,6 @@ class OutOfOrderCore(BaseCore):
                                pc=d_pc[head.seq])
             now += 1
 
-            # ---- idle fast-forward --------------------------------------
-            # Whole-machine quiescence: nothing dispatched, issued or
-            # committed this cycle, so the earliest in-flight completion
-            # bounds the next state change (the next_event_cycle contract,
-            # with dispatch as the consume pointer; --slow disables it).
-            if not issued and not committed and not dispatched and rob:
-                wake = _INF
-                for rob_entry in rob:
-                    if rob_entry.issued:
-                        # Two horizons per in-flight entry: completion
-                        # (commit eligibility, ``ready``) and wakeup
-                        # (consumers see the value ``wakeup_delay``
-                        # cycles later on the realistic model; for
-                        # in-ROB entries value_ready[seq] is always
-                        # ready + wakeup_delay, so it needs no lookup).
-                        # Events landing exactly on ``now`` count too —
-                        # ``now`` is already the *next* cycle here, and
-                        # an event at ``now`` makes it non-quiescent
-                        # (wake == now vetoes the skip).
-                        r = rob_entry.ready
-                        if r < now:
-                            r += wakeup_delay
-                            if r < now:
-                                continue
-                        if r < wake:
-                            wake = r
-                skip_to = self.next_event_cycle(now, wake, dispatch_ptr)
-                if now < skip_to < _INF:
-                    cause = self._oldest_stall_cause(rob, now, value_ready)
-                    if cause is LOAD:
-                        c_load += skip_to - now
-                    else:
-                        c_other += skip_to - now
-                    if tel is not None:
-                        head = rob[0]
-                        tel.charge(now, cause, seq=head.seq,
-                                   pc=d_pc[head.seq],
-                                   cycles=skip_to - now)
-                    now = skip_to
-
         breakdown = stats.cycle_breakdown
         breakdown[EXECUTION] += c_exec
         breakdown[FRONT_END] += c_fe
@@ -460,29 +418,6 @@ class OutOfOrderCore(BaseCore):
                 return (StallCategory.LOAD if is_load
                         else StallCategory.OTHER)
         return StallCategory.OTHER   # port conflict or window limit
-
-    def next_event_cycle(self, now: int, wait_until: int,
-                         consume_ptr: int) -> int:
-        """OOO variant of the fast-forward contract.
-
-        Dispatch is bounded by the ROB rather than a fetch-buffer window,
-        so the front-end clamp keys on the dispatch pointer directly: a
-        skip is allowed only while dispatch is starved (nothing fetched
-        beyond it) and fetch itself is either finished or I-stalled —
-        in the latter case the skip is capped at the I-miss fill.
-        """
-        if self.slow or wait_until <= now:
-            return now
-        frontend = self.frontend
-        if consume_ptr < len(self.trace):
-            if frontend.fetched_until > consume_ptr:
-                return now               # dispatch could proceed next cycle
-            stall_until = frontend.stall_until
-            if stall_until <= now:
-                return now               # front end actively fetching
-            if stall_until < wait_until:
-                wait_until = stall_until
-        return wait_until
 
 
 class IdealOOOCore(OutOfOrderCore):

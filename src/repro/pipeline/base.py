@@ -14,7 +14,6 @@ from ..isa.opcodes import FUClass
 from ..isa.registers import NUM_REGS
 from ..isa.trace import Trace, TraceEntry
 from ..machine import MachineConfig
-from ..telemetry.events import NULL_TRACER
 from .frontend import FrontEnd
 from .stats import SimStats, StallCategory
 
@@ -36,11 +35,10 @@ class BaseCore:
         self.buffer_size = buffer_size
         self.hierarchy = config.hierarchy.build()
         self.predictor = GsharePredictor(config.branch_predictor_entries)
-        # Telemetry: a live recorder (an event Tracer or a Timeline), or
-        # the shared do-nothing NULL_TRACER whose ``enabled`` attribute
-        # is the only cost when tracing is off (stats are bit-identical
-        # either way — golden tests pin it).
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        # Telemetry: a Timeline recording the run, or None when tracing
+        # is off (stats are bit-identical either way — golden tests pin
+        # it).
+        self.tracer = tracer
         self.frontend = FrontEnd(trace, self.hierarchy, self.predictor,
                                  config, buffer_size, tracer=self.tracer)
         self.stats = SimStats(model=self.model_name,
@@ -55,9 +53,11 @@ class BaseCore:
         # and the multipass core suppresses rather than waits for them).
         # Same encoding: fill cycle, or 0 when no miss is pending.
         self.load_miss_pending = [0] * NUM_REGS
-        # Reference mode: disable the stall fast-forward and tick every
-        # cycle (``--slow``).  Used by the differential tests that pin
-        # fast-forwarded stats against the naive per-cycle loop.
+        # Reference mode (``--slow``): the OOO and multipass cores run
+        # their per-cycle scalar loop instead of the columnar kernel,
+        # and the in-order loop ticks every cycle instead of
+        # fast-forwarding stalls.  The differential tests pin the
+        # production paths against it.
         self.slow = slow
         # Runtime invariant checking (the --check flag): every commit is
         # cross-checked against independent re-execution.
@@ -117,8 +117,10 @@ class BaseCore:
                          consume_ptr: int) -> int:
         """Clamp a stall-skip target to the next cycle with real work.
 
-        The fast-forward contract: a core that has established "nothing
-        can issue before ``wait_until``" may jump the clock there — but
+        The in-order loop's fast-forward contract (the OOO and multipass
+        cores skip inside their columnar kernels, and their scalar
+        loops never skip): a loop that has established "nothing can
+        issue before ``wait_until``" may jump the clock there — but
         only if the front end has no intervening work, because fetch
         ticks (I-cache probes, buffer fill) happen on the skipped cycles
         and must be replayed faithfully.  ``consume_ptr`` is the oldest
@@ -168,8 +170,8 @@ class BaseCore:
         architectural path); under tracing the commit is recorded;
         otherwise this is a no-op.
         """
-        if self.tracer.enabled:
-            self.tracer.commit(now, entry.seq, entry.inst.index)
+        if self.tracer is not None:
+            self.tracer.commit(now, entry.seq)
         if self.replay is not None:
             self.replay.commit(entry)
 
@@ -181,6 +183,6 @@ class BaseCore:
         self.stats.counters["front_end_redirects"] = self.frontend.redirects
         if self.replay is not None:
             self.replay.finish()
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.finish(self.stats.cycles)
         return self.stats

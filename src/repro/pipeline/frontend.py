@@ -14,7 +14,6 @@ from ..isa.columns import columns_of
 from ..isa.trace import Trace, TraceEntry
 from ..machine import MachineConfig
 from ..memory.hierarchy import MemoryHierarchy
-from ..telemetry.events import NULL_TRACER
 
 
 class FrontEnd:
@@ -28,7 +27,7 @@ class FrontEnd:
         self.predictor = predictor
         self.config = config
         self.buffer_size = buffer_size
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer
         self.fetched_until = 0        # exclusive trace index available
         self.stall_until = 0          # fetch blocked before this cycle
         self._line_size = hierarchy.config.l1i.line_size
@@ -86,7 +85,7 @@ class FrontEnd:
         stop = fu + self._fetch_width
         if stop > limit:
             stop = limit
-        tracer = self.tracer if self.tracer.enabled else None
+        tracer = self.tracer
         pcs = self._pcs
         lines = self._lines
         last = self._last_line
@@ -103,7 +102,7 @@ class FrontEnd:
                     self.icache_stall_cycles += result.latency
                     return
             if tracer is not None:
-                tracer.fetch(now, fu, pcs[fu])
+                tracer.fetch(now, fu)
             fu += 1
         self._last_line = last
         self.fetched_until = fu

@@ -59,7 +59,7 @@ class InOrderCore(BaseCore):
         d_stop = dec.stop
         d_pc = dec.pc
         d_taken = dec.taken
-        tel = self.tracer if self.tracer.enabled else None
+        tel = self.tracer
         replay = self.replay
         # TraceEntry objects only for the --check replay.
         entries = trace.entries if replay is not None else None
@@ -136,8 +136,7 @@ class InOrderCore(BaseCore):
                         if l1_miss:
                             counters["l1d_load_misses"] += 1
                             if tel is not None:
-                                tel.cache_miss(now, i, d_pc[i],
-                                               result.level)
+                                tel.cache_miss(now, i, result.level)
                     else:
                         access(d_addr[i], now, kind="store")
 
@@ -176,8 +175,8 @@ class InOrderCore(BaseCore):
                     pending[d] = done if l1_miss else 0
                 stats.instructions += 1
                 if tel is not None:
-                    tel.issue(now, i, d_pc[i])
-                    tel.commit(now, i, d_pc[i])
+                    tel.issue(now, i)
+                    tel.commit(now, i)
                 if replay is not None:
                     replay.commit(entries[i])
                 issued += 1

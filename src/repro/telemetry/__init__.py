@@ -1,36 +1,29 @@
-"""Telemetry subsystem: cycle-level tracing, metrics and profiling.
+"""Telemetry subsystem: cycle-level recording, metrics and profiling.
 
-One recorder protocol, two backends (see docs/architecture.md §10):
+One recorder, several views (see docs/architecture.md §10):
 
-* :mod:`~repro.telemetry.events` — the typed event taxonomy and the
-  :class:`Tracer` backend, which turns each call into an :class:`Event`
-  for a sink (``NULL_TRACER`` when tracing is off: one attribute check,
-  zero other cost);
-* :mod:`~repro.telemetry.sinks` — where events go (null, ring buffer,
-  streaming JSONL, tee);
-* :mod:`~repro.telemetry.export` — Chrome trace-event (Perfetto) and
-  Konata-style pipeline-view exporters over events (``repro trace``);
-* :mod:`~repro.telemetry.timeline` — the :class:`Timeline` backend, a
-  flat append-only recording the production kernels feed;
+* :mod:`~repro.telemetry.timeline` — the :class:`Timeline` recorder, a
+  flat append-only recording the production kernels feed (a core
+  holds ``tracer=None`` when recording is off);
 * :mod:`~repro.telemetry.metrics` — histograms, adaptive interval
   timeseries, and the per-cell :class:`MetricsSink` summary the sweep
-  engine attaches (a view over a timeline);
+  engine attaches;
 * :mod:`~repro.telemetry.profile` — the stall-attribution profiler
-  behind ``repro profile`` (a view over a timeline).
+  behind ``repro profile``;
+* :mod:`~repro.telemetry.export` — the cycle-major JSONL records,
+  Chrome trace-event (Perfetto) and Konata-style pipeline-view exports
+  behind ``repro trace``.
 """
 
-from .events import NULL_TRACER, Event, EventKind, NullTracer, Tracer
-from .export import chrome_trace, render_pipeview, write_chrome_trace
+from .export import (chrome_trace, export_trace, records, render_pipeview,
+                     write_chrome_trace, write_jsonl)
 from .metrics import Histogram, IntervalSeries, MetricsSink
 from .profile import StallProfileSink, profile_model, render_profile
-from .sinks import (JsonlSink, NullSink, RingBufferSink, TeeSink,
-                    TelemetrySink)
 from .timeline import Timeline
 
 __all__ = [
-    "Event", "EventKind", "Histogram", "IntervalSeries", "JsonlSink",
-    "MetricsSink", "NULL_TRACER", "NullSink", "NullTracer",
-    "RingBufferSink", "StallProfileSink", "TeeSink", "TelemetrySink",
-    "Timeline", "Tracer", "chrome_trace", "profile_model",
+    "Histogram", "IntervalSeries", "MetricsSink", "StallProfileSink",
+    "Timeline", "chrome_trace", "export_trace", "profile_model", "records",
     "render_pipeview", "render_profile", "write_chrome_trace",
+    "write_jsonl",
 ]

@@ -126,8 +126,8 @@ class MetricsSink:
 
     Collected per run:
 
-    * ``events.<kind>`` counters, one per event a
-      :class:`~repro.telemetry.events.Tracer` would have emitted;
+    * ``events.<kind>`` counters, one per record of that kind in the
+      :func:`~repro.telemetry.export.records` export;
     * ``stall_cycles.<category>`` counters and a ``stall_span_cycles``
       histogram (one value per stall span);
     * ``mode_cycles.<mode>`` occupancy counters;
@@ -193,10 +193,9 @@ class MetricsSink:
             series[f"mode.{name}"] = IntervalSeries.of_spans(
                 starts, spans_of, *shape)
 
-        # The latest cycle any emitted event would have carried (a stall
-        # span's end, every other record's own cycle or start): the
-        # last entry of each column, since cycles never decrease along
-        # one.
+        # The latest cycle any exported record carries (a stall span's
+        # end, every other record's own cycle or start): the last entry
+        # of each column, since cycles never decrease along one.
         columns = (tl.fetch_cycle, tl.issue_cycle, tl.commit_cycle,
                    tl.restart_cycle, tl.rs_hit_cycle, tl.miss_cycle,
                    tl.stall_end, tl.mode_start)

@@ -1,30 +1,32 @@
 """Timeline: a flat append-only recording of one simulated run.
 
-A :class:`Timeline` answers the same call protocol as
-:class:`~repro.telemetry.events.Tracer` (``fetch``/``issue``/``commit``/
-``charge``/``mode``/``restart``/``rs_hit``/``cache_miss``/``finish``),
-with the tracer's exact stall-span and mode-span coalescing, but it keeps
-each occurrence as plain values appended to per-field lists: no
-:class:`~repro.telemetry.events.Event` is ever built.  That makes it
-cheap enough for the production kernels:
+The :class:`Timeline` is the one recorder: a core reports to it when a
+caller passes ``tracer=``, one call per occurrence (``fetch``/
+``issue``/``commit``/``charge``/``mode``/``restart``/``rs_hit``/
+``cache_miss``/``finish``).  Consecutive same-site stall charges
+coalesce into one stall span and consecutive same-mode cycles into one
+mode span.  Everything is kept as plain values appended to per-field
+lists, with no record object built per call, which makes it cheap
+enough for the production kernels:
 
-* the in-order loop and the scalar reference loops feed it through the
-  protocol, exactly as they feed a ``Tracer``;
-* the OOO and multipass-family columnar kernels record into it too (a
-  core whose tracer is a Timeline keeps its columnar kernel; see
+* the in-order loop and the ``--slow`` scalar reference loops feed it
+  one call per occurrence;
+* the OOO and multipass-family columnar kernels record into it too (see
   ``docs/architecture.md`` §13 for where each recorded quantity comes
   from), using the group forms :meth:`fetch_many`, :meth:`issue_many`
   and :meth:`commit_many` for the groups they move in one step.
 
-The aggregating consumers are views over a finished Timeline:
+Everything that reports on a run is a view over a finished Timeline:
 :class:`~repro.telemetry.metrics.MetricsSink` renders the per-cell sweep
-summary and :class:`~repro.telemetry.profile.StallProfileSink` the
-per-(category, pc) stall profile.
+summary, :class:`~repro.telemetry.profile.StallProfileSink` the
+per-(category, pc) stall profile, :mod:`~repro.telemetry.export` the
+``repro trace`` records and :func:`~repro.harness.charts.mode_strip`
+the multipass mode strip.
 
-Per-instruction records drop the ``pc`` argument: it is always the
-trace's pc of the recorded seq.  Stall spans keep theirs, since a span
-is charged to a blamed site (``pc`` and ``seq`` are ``-1`` when there
-is none).
+Per-instruction records carry no ``pc``: it is always the trace's pc of
+the recorded seq, which the exporter looks up.  Stall spans keep
+theirs, since a span is charged to a blamed site (``pc`` and ``seq``
+are ``-1`` when there is none).
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ class Timeline:
     Cores report as simulated time moves forward, so the cycles along
     any one column never decrease (the views rely on it).
     """
-
-    enabled = True
 
     #: Every recorded column (the differential suites compare these).
     FIELDS = (
@@ -101,7 +101,7 @@ class Timeline:
 
     # -- per-instruction milestones -------------------------------------
 
-    def fetch(self, cycle: int, seq: int, pc: int) -> None:
+    def fetch(self, cycle: int, seq: int) -> None:
         self.fetch_cycle.append(cycle)
         self.fetch_seq.append(seq)
 
@@ -110,7 +110,7 @@ class Timeline:
         self.fetch_cycle.extend([cycle] * len(seqs))
         self.fetch_seq.extend(seqs)
 
-    def issue(self, cycle: int, seq: int, pc: int, mode: str = "") -> None:
+    def issue(self, cycle: int, seq: int, mode: str = "") -> None:
         self.issue_cycle.append(cycle)
         self.issue_seq.append(seq)
         self.issue_mode.append(mode)
@@ -122,7 +122,7 @@ class Timeline:
         self.issue_seq.extend(seqs)
         self.issue_mode.extend([""] * len(seqs))
 
-    def commit(self, cycle: int, seq: int, pc: int) -> None:
+    def commit(self, cycle: int, seq: int) -> None:
         self.commit_cycle.append(cycle)
         self.commit_seq.append(seq)
 
@@ -133,18 +133,16 @@ class Timeline:
 
     # -- point events ---------------------------------------------------
 
-    def restart(self, cycle: int, seq: int, pc: int) -> None:
+    def restart(self, cycle: int, seq: int) -> None:
         self.restart_cycle.append(cycle)
         self.restart_seq.append(seq)
 
-    def rs_hit(self, cycle: int, seq: int, pc: int,
-               mode: str = "") -> None:
+    def rs_hit(self, cycle: int, seq: int, mode: str = "") -> None:
         self.rs_hit_cycle.append(cycle)
         self.rs_hit_seq.append(seq)
         self.rs_hit_mode.append(mode)
 
-    def cache_miss(self, cycle: int, seq: int, pc: int,
-                   level: str) -> None:
+    def cache_miss(self, cycle: int, seq: int, level: str) -> None:
         self.miss_cycle.append(cycle)
         self.miss_seq.append(seq)
         self.miss_level.append(level)
@@ -153,9 +151,11 @@ class Timeline:
 
     def charge(self, cycle: int, category: StallCategory, seq: int = -1,
                pc: int = -1, cycles: int = 1) -> None:
-        """:meth:`Tracer.charge <repro.telemetry.events.Tracer.charge>`
-        coalescing: execution closes the open span; a same-(category,
-        pc) charge extends it; any other charge replaces it."""
+        """Attribute ``cycles`` cycles from ``cycle`` on to ``category``,
+        blaming instruction ``seq`` at static ``pc``.
+
+        Execution closes the open stall span; a same-(category, pc)
+        charge extends it; any other charge replaces it."""
         span = self._stall
         if category is _EXECUTION:
             if span is not None:

@@ -2,10 +2,18 @@
 
 import pytest
 
+import repro.harness.experiment
 from repro.__main__ import main as cli_main
 from repro.harness import (TraceCache, fig6_chart, mode_strip, run_matrix,
-                           speedup_bars, stacked_bar)
-from repro.multipass import Mode, MultipassCore
+                           run_model, speedup_bars, stacked_bar)
+from repro.telemetry import Timeline
+
+#: ``mode_strip`` of multipass on mcf at scale 0.05, as the per-cycle
+#: mode log of the scalar loop rendered it before the strip read spans.
+MCF_MODE_STRIP = (
+    "modes (-=architectural A=advance R=rally m=mixed; 60 cycles/char):\n"
+    "|AAAAAAAAAARAAAAAAAAmm--AAmAAAmAAmmmAAAAR--mAARmAAAAmm---mAARmAAAAAmAAm"
+    "---|")
 
 
 @pytest.fixture(scope="module")
@@ -45,14 +53,12 @@ class TestCharts:
 
     def test_mode_strip(self, small_matrix):
         _, cache = small_matrix
-        core = MultipassCore(cache.trace("mcf"), record_modes=True)
-        core.run()
-        strip = mode_strip(core.mode_log)
-        assert "|" in strip
-        assert any(g in strip for g in ("A", "R", "-"))
+        timeline = Timeline()
+        run_model("multipass", cache.trace("mcf"), tracer=timeline)
+        assert mode_strip(timeline) == MCF_MODE_STRIP
 
     def test_mode_strip_empty(self):
-        assert "not enabled" in mode_strip([])
+        assert "no mode spans" in mode_strip(Timeline())
 
 
 class TestCLI:
@@ -80,3 +86,27 @@ class TestCLI:
     def test_rejects_unknown_workload(self):
         with pytest.raises(SystemExit):
             cli_main(["simulate", "nonesuch"])
+
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_trace_rejects_non_positive_max_events(self, bound, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(["trace", "mcf", "--format", "chrome",
+                      "--max-events", bound])
+        assert exit_.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
+
+    def test_trace_max_events_keeps_the_first_jsonl_records(self, capsys):
+        assert cli_main(["trace", "mcf", "--max-events", "3"]) == 0
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 3
+        assert "kept the first 3 of" in err
+
+    def test_trace_failing_run_reports_no_output(self, tmp_path,
+                                                 monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise RuntimeError("simulated failure")
+
+        monkeypatch.setattr(repro.harness.experiment, "run_model", fail)
+        with pytest.raises(RuntimeError):
+            cli_main(["trace", "mcf", "--out", str(tmp_path / "t.json")])
+        assert "written to" not in capsys.readouterr().err

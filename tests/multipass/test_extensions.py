@@ -1,10 +1,13 @@
 """Tests for the extension models: two-pass, hardware restart, mode log."""
 
+from bisect import bisect_left
+
 import pytest
 
 from repro.compiler import CompileOptions
 from repro.harness import TraceCache, run_model
 from repro.multipass import Mode, MultipassCore, TwoPassCore, simulate_twopass
+from repro.telemetry import Timeline
 from tests.conftest import build_trace
 from tests.multipass.test_core import persistence_kernel, restart_kernel
 
@@ -99,28 +102,34 @@ class TestHardwareRestart:
 
 
 class TestModeLog:
+    """The mode timeline of a recorded run (the mode spans, the DEQ
+    pointer from the commit cycles, the PEEK point from advance issues)."""
+
+    @staticmethod
+    def _recorded(kernel):
+        trace = build_trace(kernel, compile_opts=NO_REORDER)
+        timeline = Timeline()
+        MultipassCore(trace, tracer=timeline).run()
+        return trace, timeline
+
     def test_disabled_by_default(self):
         trace = build_trace(persistence_kernel, compile_opts=NO_REORDER)
         core = MultipassCore(trace)
         core.run()
-        assert core.mode_log == []
+        assert core.tracer is None
 
     def test_records_all_three_modes(self):
-        trace = build_trace(restart_kernel, compile_opts=NO_REORDER)
-        core = MultipassCore(trace, record_modes=True)
-        core.run()
-        modes = {mode for _, mode, _, _ in core.mode_log}
-        assert Mode.ARCHITECTURAL in modes
-        assert Mode.ADVANCE in modes
-        assert Mode.RALLY in modes
-        cycles = [cycle for cycle, _, _, _ in core.mode_log]
-        assert cycles == sorted(cycles)
+        _trace, timeline = self._recorded(restart_kernel)
+        modes = set(map(Mode, timeline.mode_name))
+        assert modes == {Mode.ARCHITECTURAL, Mode.ADVANCE, Mode.RALLY}
+        assert timeline.mode_start == sorted(timeline.mode_start)
 
     def test_pointers_consistent(self):
-        trace = build_trace(restart_kernel, compile_opts=NO_REORDER)
-        core = MultipassCore(trace, record_modes=True)
-        core.run()
-        for _, mode, arch, adv in core.mode_log:
-            assert 0 <= arch <= len(trace)
-            if mode is Mode.ADVANCE:
-                assert adv >= arch - 1
+        trace, timeline = self._recorded(restart_kernel)
+        for cycle, seq, mode in zip(timeline.issue_cycle,
+                                    timeline.issue_seq,
+                                    timeline.issue_mode):
+            deq = bisect_left(timeline.commit_cycle, cycle)
+            assert 0 <= deq <= len(trace)
+            if mode == "advance":
+                assert seq >= deq

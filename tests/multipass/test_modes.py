@@ -1,11 +1,14 @@
 """Mode-transition and internal-invariant tests for the multipass core."""
 
+from bisect import bisect_left
+
 import pytest
 
 from repro.compiler import CompileOptions
 from repro.isa import P, R
 from repro.machine import MachineConfig
 from repro.multipass import Mode, MultipassCore
+from repro.telemetry import Timeline
 from tests.conftest import build_trace
 
 NO_REORDER = CompileOptions(reorder=False, restarts=False)
@@ -45,19 +48,16 @@ def test_advance_respects_queue_window():
 
     trace = build_trace(body, compile_opts=NO_REORDER)
     config = MachineConfig(multipass_queue_size=64)
-    core = MultipassCore(trace, config)
+    timeline = Timeline()
+    MultipassCore(trace, config, tracer=timeline).run()
 
-    max_lead = 0
-    original = core._issue_advance_cycle
-
-    def checked(now):
-        nonlocal max_lead
-        result = original(now)
-        max_lead = max(max_lead, core.adv_ptr - core.arch_ptr)
-        return result
-
-    core._issue_advance_cycle = checked
-    core.run()
+    # DEQ at cycle c is the count of commits before c; an advance issue
+    # of seq s at c puts the PEEK point at s + 1.
+    max_lead = max(seq + 1 - bisect_left(timeline.commit_cycle, cycle)
+                   for cycle, seq, mode in zip(timeline.issue_cycle,
+                                               timeline.issue_seq,
+                                               timeline.issue_mode)
+                   if mode == "advance")
     assert 0 < max_lead <= 64
 
 

@@ -16,9 +16,10 @@ by even one cycle drifts the cycle count or the stall attribution and
 fails the differential against the ``slow=True`` reference, which never
 skips.
 
-Asserted for every registered model (all of them fast-forward through
-``BaseCore.next_event_cycle`` or, for the OOO cores, the columnar
-kernel's span logic).
+Asserted for every registered model: the in-order loop fast-forwards
+through the base core's front-end clamp, and the OOO and
+multipass-family cores through their columnar kernels' span logic
+(their scalar loops, which ``slow=True`` runs, step every cycle).
 """
 
 import pytest

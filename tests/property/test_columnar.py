@@ -36,7 +36,7 @@ from repro.machine import MachineConfig
 from repro.memory.configs import HIERARCHIES
 from repro.multipass import core as multipass_core
 from repro.ooo import core as ooo_core
-from repro.telemetry import TelemetrySink, Timeline, Tracer
+from repro.telemetry import Timeline
 
 from .test_random_programs import materialize, programs
 
@@ -197,8 +197,8 @@ def test_audit_oracle_holds_on_columnar_path(spec, model):
 
 
 def test_columnar_routing(monkeypatch):
-    """A Timeline records on the columnar kernel; ``--slow`` and an
-    event Tracer route to the scalar reference loop."""
+    """The scalar reference loop runs exactly when ``slow=True``,
+    recording or not; everything else runs the columnar kernel."""
     ran = []
     for module, cls in ((ooo_core, ooo_core.OutOfOrderCore),
                         (multipass_core, multipass_core.MultipassCore)):
@@ -217,17 +217,15 @@ def test_columnar_routing(monkeypatch):
 
     spec = ([("add", *_regs(3))], 2, False)
     trace = execute(compile_program(materialize(spec).build()))
-    routes = ((dict, "columnar"),
-              (lambda: {"slow": True}, "scalar"),
-              (lambda: {"tracer": Timeline()}, "columnar"),
-              (lambda: {"tracer": Tracer(TelemetrySink())}, "scalar"))
-    for model in ("ooo", "multipass", "runahead", "twopass"):
+    for model in COLUMNAR_MODELS:
         results = []
-        for kwargs, loop in routes:
-            del ran[:]
-            results.append(_comparable(run_model(model, trace,
-                                                 **kwargs())))
-            assert ran == [loop], (model, kwargs())
+        for slow in (False, True):
+            for tracer in (None, Timeline()):
+                del ran[:]
+                results.append(_comparable(run_model(
+                    model, trace, slow=slow, tracer=tracer)))
+                loop = "scalar" if slow else "columnar"
+                assert ran == [loop], (model, slow, tracer)
         # All four agree on the stats regardless of the loop that ran.
         assert all(r == results[0] for r in results), model
 

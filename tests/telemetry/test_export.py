@@ -4,10 +4,11 @@ import io
 import json
 
 from repro.compiler import CompileOptions
-from repro.harness import run_model
+from repro.harness import TraceCache, run_model
 from repro.isa import R
-from repro.telemetry import (TelemetrySink, Tracer, chrome_trace,
+from repro.telemetry import (Timeline, chrome_trace, export_trace, records,
                              render_pipeview, write_chrome_trace)
+from repro.telemetry.export import FORMATS
 from tests.conftest import build_trace
 
 NO_REORDER = CompileOptions(reorder=False, restarts=False)
@@ -24,9 +25,9 @@ def stall_kernel(b):
 
 def traced_events(model="multipass"):
     trace = build_trace(stall_kernel, compile_opts=NO_REORDER)
-    sink = TelemetrySink()
-    run_model(model, trace, tracer=Tracer(sink))
-    return sink.events, trace
+    timeline = Timeline()
+    run_model(model, trace, tracer=timeline)
+    return records(timeline, trace), trace
 
 
 def test_chrome_trace_is_valid_trace_event_json():
@@ -94,11 +95,11 @@ def test_pipeview_clips_and_notes_truncation():
 
 def test_pipeview_windows_a_suffix_trace_around_its_events():
     events, trace = traced_events()
-    # A ring-buffered run keeps only a suffix: drop the first half.
+    # ``--max-events`` keeps only a suffix: drop the first half.
     cut = len(events) // 2
     suffix = events[cut:]
-    base = min(e.cycle for e in suffix
-               if e.kind.value in ("fetch", "issue", "rs_hit", "commit"))
+    base = min(e["cycle"] for e in suffix
+               if e["kind"] in ("fetch", "issue", "rs_hit", "commit"))
     view = render_pipeview(suffix, trace)
     # The ruler starts at the suffix's first milestone, not at 0...
     assert f"|{base}" in view
@@ -106,3 +107,13 @@ def test_pipeview_windows_a_suffix_trace_around_its_events():
     body = [line.split("|", 1)[1] for line in view.splitlines()
             if "|" in line][1:]
     assert any(line.strip(" .") for line in body)
+
+
+def test_repro_trace_exports_never_build_trace_entries():
+    """``repro trace`` records on the production kernels, which read the
+    trace's columns only, and the exporters do too."""
+    trace = TraceCache(0.05).trace("mcf")
+    for fmt, model in zip(FORMATS, ("inorder", "ooo", "multipass")):
+        written, recorded = export_trace(model, trace, fmt, io.StringIO())
+        assert written == recorded > 0
+    assert trace._entries is None

@@ -1,11 +1,10 @@
-"""Tracing must be observation only: stats are bit-identical.
+"""Recording must be observation only: stats are bit-identical.
 
-The overhead contract in ``repro.telemetry.events`` promises that
-attaching a tracer changes nothing about the simulation; these tests
-pin it for every model variant and both recorder backends, and pin the
-dual property that the recorded stall spans, mode spans and commits of
-a :class:`~repro.telemetry.timeline.Timeline` recorded on the
-production kernels reconcile *exactly* with the stats.
+Attaching a :class:`~repro.telemetry.timeline.Timeline` changes nothing
+about the simulation; these tests pin it for every model variant, and
+pin the dual property that the recorded stall spans, mode spans and
+commits of a Timeline recorded on the production kernels reconcile
+*exactly* with the stats.
 """
 
 import pytest
@@ -13,8 +12,7 @@ import pytest
 from repro.harness import (ABLATION_FACTORIES, MODEL_FACTORIES, TraceCache,
                            run_model)
 from repro.pipeline.stats import StallCategory
-from repro.telemetry import (MetricsSink, StallProfileSink, TelemetrySink,
-                             Timeline, Tracer)
+from repro.telemetry import MetricsSink, StallProfileSink, Timeline
 
 MODELS = sorted({**MODEL_FACTORIES, **ABLATION_FACTORIES})
 _TRACES = TraceCache(0.05)
@@ -28,9 +26,8 @@ def _stats_key(stats):
 def test_traced_stats_bit_identical(model):
     trace = _TRACES.trace("mcf")
     plain = run_model(model, trace)
-    for tracer in (Tracer(TelemetrySink()), Timeline()):
-        traced = run_model(model, trace, tracer=tracer)
-        assert _stats_key(plain) == _stats_key(traced), type(tracer)
+    traced = run_model(model, trace, tracer=Timeline())
+    assert _stats_key(plain) == _stats_key(traced)
 
 
 def _recorded(model):
