@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Full verification gate: static lint -> type check -> tier-1 tests ->
-# differential equivalence over the two fastest workloads.
+# coverage floor -> workload verifier -> differential equivalence over
+# the two fastest workloads -> cycle-bound audit -> parallel sweep and
+# result cache -> traced perfbench passes (per-layer ledger and output
+# digests) -> telemetry exports -> every example and script.
 #
 # ruff, mypy and pytest-cov are optional locally (a missing one marks
 # its gate SKIPPED, so the script stays runnable anywhere); under
@@ -19,13 +22,12 @@ failed=0
 gate=""
 status=""
 
-# close_gate: file the current gate's verdict in the ledger (an "info"
-# gate ran but cannot fail).
+# close_gate: file the current gate's verdict in the ledger.
 close_gate() {
     [ -n "$gate" ] || return 0
     rows+=("$(printf '%-7s  %s' "$status" "$gate")")
     case "$status" in
-        ran|info) ran=$((ran + 1)) ;;
+        ran) ran=$((ran + 1)) ;;
         SKIPPED) skipped=$((skipped + 1)) ;;
         *) failed=$((failed + 1)) ;;
     esac
@@ -124,19 +126,6 @@ python -m repro sweep --smoke --results-cache "$smoke_cache" \
     || fail
 rm -rf "$smoke_cache"
 
-step "repro bench --smoke (kernel speed table, informational)"
-# Informational: the table still prints, but a breach of the 25%
-# wall-clock threshold against the recorded baseline never fails the
-# gate.  Uncorrected wall clock swings ~40% between sittings on a
-# frequency-scaling host (see the calibration keys of the BENCH_*.json
-# records) and has failed on unchanged trees, so it cannot tell a
-# regression from the machine.  The perfbench stage below is the gate.
-status="info"
-python -m repro bench --smoke \
-    --against benchmarks/bench_smoke_baseline.json --max-regression 0.25 \
-    --compare benchmarks/bench_smoke_baseline.json \
-    || echo "bench --smoke: over the 25% threshold (informational only)"
-
 # perfbench_gate <workload>: one traced pass of a benchmark workload.
 # Fails when a layer the workload must exercise saw no calls (or a
 # forbidden one did), when the layer self times exceed the pass (run.py
@@ -186,9 +175,10 @@ python -m repro profile mcf --scale 0.05 --top 5 >/dev/null \
     || fail
 rm -rf "$trace_dir"
 
-step "examples (every script runs to completion)"
-# No test imports the examples; a non-zero exit from any of them fails
-# the gate.  pipeline_viewer.py runs mcf at scale 0.05 to stay short.
+step "examples and scripts (every script runs to completion)"
+# No test imports the examples or scripts/*.py; a non-zero exit from
+# any of them fails the gate.  pipeline_viewer.py runs mcf at scale
+# 0.05 and the two scripts run at scale 0.05 to stay short.
 for example in examples/*.py; do
     args=""
     [ "$example" = examples/pipeline_viewer.py ] && args="mcf 0.05"
@@ -196,6 +186,11 @@ for example in examples/*.py; do
     # shellcheck disable=SC2086
     python "$example" $args >/dev/null || fail
 done
+echo "scripts/calibrate.py mcf vpr --scale 0.05"
+python scripts/calibrate.py mcf vpr --scale 0.05 >/dev/null || fail
+echo "scripts/run_experiments.py --scale 0.05 --skip-fig7"
+python scripts/run_experiments.py --scale 0.05 --skip-fig7 >/dev/null \
+    || fail
 
 close_gate
 echo

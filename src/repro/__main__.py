@@ -14,8 +14,6 @@ Commands:
   trace, or a Konata-style text pipeline view.
 * ``profile``  — stall-attribution profile: which static instructions
   the stalled cycles are charged to, per category, across models.
-* ``bench``    — wall-clock benchmark of the timing models over a fixed
-  matrix; writes/compares JSON records (``--against`` + perf gate).
 * ``cache``    — inspect (``stats``, ``--json`` for machines) or empty
   (``clear``) a result cache directory.
 * ``compare``  — race all primary models on one workload.
@@ -36,6 +34,10 @@ Commands:
 ``--parallel`` defaults to ``$REPRO_JOBS`` (``auto`` = one worker per
 CPU) and ``--results-cache`` to ``$REPRO_RESULTS_CACHE``; both default
 off so serial behaviour is unchanged.
+
+Simulator speed is measured outside the CLI, by ``python3
+perfbench/run.py`` (EXPERIMENTS.md, "How to benchmark the simulator
+itself").
 """
 
 from __future__ import annotations
@@ -185,61 +187,13 @@ def _cmd_sweep(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_bench(args) -> int:
-    from .harness.bench import (BENCH_MODELS, SMOKE_WORKLOADS,
-                                compare_bench, compare_speedups,
-                                load_record, profile_bench, render_bench,
-                                render_profile, run_bench, write_record)
-
-    workloads = args.workloads
-    if workloads is None:
-        workloads = (list(SMOKE_WORKLOADS) if not args.full
-                     else list(ALL_WORKLOADS))
-    models = args.models or list(BENCH_MODELS)
-    if args.profile:
-        cells = profile_bench(models, workloads, scale=args.scale,
-                              top=args.top)
-        print(render_profile(cells))
-        return 0
-    record = run_bench(models, workloads, scale=args.scale,
-                       repeats=args.repeats, slow=args.slow)
-    baseline = load_record(args.against) if args.against else None
-    print(render_bench(record, baseline))
-    if args.out:
-        write_record(record, args.out)
-        print(f"\nbench: record written to {args.out}")
-    status = 0
-    if baseline is not None:
-        findings = compare_bench(record, baseline,
-                                 max_regression=args.max_regression)
-        if findings:
-            print("\nbench: REGRESSION against "
-                  f"{args.against}:", file=sys.stderr)
-            for finding in findings:
-                print(f"  {finding}", file=sys.stderr)
-            status = 1
-        else:
-            print(f"\nbench: within {args.max_regression:.0%} of "
-                  f"baseline {args.against}")
-    if args.compare:
-        reference = load_record(args.compare)
-        lines, regressions = compare_speedups(
-            record, reference, max_regression=args.max_regression)
-        print(f"\nbench: per-model speedup vs {args.compare}")
-        for line in lines:
-            print(f"  {line}")
-        if regressions:
-            print(f"\nbench: THROUGHPUT REGRESSION vs "
-                  f"{args.compare}:", file=sys.stderr)
-            for finding in regressions:
-                print(f"  {finding}", file=sys.stderr)
-            status = 1
-    return status
-
-
 def _cmd_cache(args) -> int:
     from .harness.results_cache import resolve_results_cache
 
+    if args.json and args.action != "stats":
+        print("repro cache: --json applies only to 'stats'",
+              file=sys.stderr)
+        return 2
     store = resolve_results_cache(args.results_cache)
     if store is None:
         print("repro cache: no cache directory; pass --results-cache DIR "
@@ -491,7 +445,7 @@ def main(argv=None) -> int:
                            "multipass)")
     prof.add_argument("--all-models", action="store_true",
                       help="profile every primary model")
-    prof.add_argument("--top", type=int, default=10,
+    prof.add_argument("--top", type=_positive_int, default=10,
                       help="static sites listed per stall category")
     prof.add_argument("--scale", type=float, default=0.25)
     prof.set_defaults(fn=_cmd_profile)
@@ -521,55 +475,11 @@ def main(argv=None) -> int:
     _add_engine_flags(swp)
     swp.set_defaults(fn=_cmd_sweep)
 
-    bench = sub.add_parser("bench")
-    bench.add_argument("--models", nargs="+",
-                       choices=sorted({**MODEL_FACTORIES,
-                                       **ABLATION_FACTORIES}),
-                       help="models to time (default: the five primary "
-                            "models)")
-    bench.add_argument("--workloads", nargs="+", choices=ALL_WORKLOADS,
-                       help="workloads to time (default: the fixed "
-                            "3-workload smoke matrix)")
-    bench.add_argument("--full", action="store_true",
-                       help="time the full 12-workload matrix")
-    bench.add_argument("--smoke", action="store_true",
-                       help="fixed 3-workload matrix (the default; "
-                            "spelled out for check.sh)")
-    bench.add_argument("--scale", type=float, default=0.1)
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="timing passes per model; the best is kept")
-    bench.add_argument("--slow", action="store_true",
-                       help="benchmark the cycle-by-cycle reference "
-                            "loop instead of the fast path")
-    bench.add_argument("--out", metavar="FILE", default=None,
-                       help="write the JSON benchmark record here")
-    bench.add_argument("--against", metavar="FILE", default=None,
-                       help="compare against a recorded baseline and "
-                            "fail on regression")
-    bench.add_argument("--compare", metavar="FILE", default=None,
-                       help="print per-model cycles/second speedup "
-                            "ratios vs a recorded baseline (may use a "
-                            "different workload matrix) and fail if any "
-                            "model's throughput regresses beyond "
-                            "--max-regression")
-    bench.add_argument("--max-regression", type=float, default=0.25,
-                       help="allowed fractional wall-clock regression "
-                            "vs --against (default 0.25)")
-    bench.add_argument("--profile", action="store_true",
-                       help="cProfile each (model, workload) cell and "
-                            "print its hotspot table instead of timing "
-                            "(profiled seconds are not comparable with "
-                            "bench records)")
-    bench.add_argument("--top", type=int, default=10,
-                       help="hotspot rows per cell with --profile "
-                            "(default 10)")
-    bench.set_defaults(fn=_cmd_bench)
-
     cache_parser = sub.add_parser("cache")
     cache_parser.add_argument("action", choices=("stats", "clear"))
     cache_parser.add_argument("--json", action="store_true",
-                              help="machine-readable stats (implies "
-                                   "'stats')")
+                              help="machine-readable stats (with "
+                                   "'stats' only)")
     cache_parser.add_argument("--results-cache", metavar="DIR",
                               default=None,
                               help="cache directory (default: "

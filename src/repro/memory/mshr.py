@@ -31,8 +31,6 @@ class MSHRFile:
             heapq.heappop(self._completions)
         by_line = self._by_line
         if by_line:
-            # Prune in place: the columnar kernels hold a localized
-            # reference to this dict, so it must never be rebound.
             expired = [line for line, t in by_line.items() if t <= now]
             for line in expired:
                 del by_line[line]

@@ -176,17 +176,6 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     l1d_line = l1d_cache._line_size
     l1d_nsets = l1d_cache._num_sets
     l1d_latency = l1d_cache.config.latency
-    l1d_assoc = l1d_cache.config.assoc
-    # L2 directory and MSHR file, localized for the L1D-miss merge fast
-    # path in the issue loop (``MSHRFile._expire`` prunes ``_by_line``
-    # in place, so the reference stays valid across fallbacks).
-    l2_cache = hierarchy.l2
-    l2_id = id(l2_cache)
-    l2_sets = l2_cache._sets
-    l2_line = l2_cache._line_size
-    l2_nsets = l2_cache._num_sets
-    mshr = hierarchy.mshrs
-    mshr_by_line = mshr._by_line
     # L1 hit-path statistics and LRU clocks, localized.  ``access``
     # reads and advances the same counters, so every fallback call is
     # bracketed by a write-back/reload pair (and refreshes the pending
@@ -235,7 +224,6 @@ def run_columnar(core, max_cycles: int) -> SimStats:
         tl_charge = tl.charge
         tl_miss = tl.cache_miss
         l1d_name = l1d_cache.config.name
-        l2_name = l2_cache.config.name
         # Seqs issued after a port-starved skip (middle deletes) this
         # cycle; the rest of the cycle's issues are a ready-queue slice.
         skipped_issues: list = []
@@ -621,68 +609,21 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             else:
                                 latency = l1d_latency
                     elif d_load[seq]:
-                        r = mshr_by_line.get(line)
-                        l2line = addr // l2_line
-                        l2set = l2_sets[l2line % l2_nsets]
-                        if r is not None and r > now and \
-                                l2set is not None and l2line in l2set:
-                            # MSHR-merge fast path: the line was
-                            # filled and already evicted again while
-                            # its fill is still in flight, and the
-                            # L2 directory still holds it.  The
-                            # merge serves the miss at the fill's
-                            # remaining time; replicate the full
-                            # hierarchy walk's observable effects —
-                            # L1D miss stats, L2 hit stats/LRU, the
-                            # expired-pending probe, the merge
-                            # counter, and the L1D refill with its
-                            # pending mark.
-                            l1d_acc += 1
-                            l1d_clk += 1
-                            l1d_cache.misses += 1
-                            l2_cache.accesses += 1
-                            l2clk = l2_cache._clock + 1
-                            l2_cache._clock = l2clk
-                            l2set[l2line] = l2clk
-                            l2_cache.hits += 1
-                            pkey = (l2_id, l2line)
-                            pr = h_pending.get(pkey)
-                            if pr is not None and pr <= now:
-                                del h_pending[pkey]
-                            mshr.merges += 1
-                            latency = r - now
-                            # Cache.fill on the absent L1D line.
-                            if cset is None:
-                                cset = l1d_sets[line % l1d_nsets] = {}
-                            l1d_clk += 1
-                            if len(cset) >= l1d_assoc:
-                                victim = min(cset, key=cset.get)
-                                del cset[victim]
-                            cset[line] = l1d_clk
-                            h_pending[(l1d_id, line)] = r
-                            if r > h_horizon:
-                                h_horizon = r
-                            n_loads += 1
+                        l1d_cache.accesses = l1d_acc
+                        l1d_cache.hits = l1d_hit
+                        l1d_cache._clock = l1d_clk
+                        result = access(addr, now)
+                        l1d_acc = l1d_cache.accesses
+                        l1d_hit = l1d_cache.hits
+                        l1d_clk = l1d_cache._clock
+                        h_horizon = hierarchy._pending_horizon
+                        latency = result.latency
+                        n_loads += 1
+                        if result.l1_miss:
                             n_load_misses += 1
                             load_wait[seq] = 1
                             if rec:
-                                tl_miss(now, seq, l2_name)
-                        else:
-                            l1d_cache.accesses = l1d_acc
-                            l1d_cache.hits = l1d_hit
-                            l1d_cache._clock = l1d_clk
-                            result = access(addr, now)
-                            l1d_acc = l1d_cache.accesses
-                            l1d_hit = l1d_cache.hits
-                            l1d_clk = l1d_cache._clock
-                            h_horizon = hierarchy._pending_horizon
-                            latency = result.latency
-                            n_loads += 1
-                            if result.l1_miss:
-                                n_load_misses += 1
-                                load_wait[seq] = 1
-                                if rec:
-                                    tl_miss(now, seq, result.level)
+                                tl_miss(now, seq, result.level)
                     else:
                         l1d_cache.accesses = l1d_acc
                         l1d_cache.hits = l1d_hit

@@ -87,11 +87,17 @@ class TestCLI:
         with pytest.raises(SystemExit):
             cli_main(["simulate", "nonesuch"])
 
-    @pytest.mark.parametrize("bound", ["0", "-1"])
-    def test_trace_rejects_non_positive_max_events(self, bound, capsys):
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["trace", "mcf", "--format", "chrome",
+                      "--max-events", "0"], id="0"),
+        pytest.param(["trace", "mcf", "--format", "chrome",
+                      "--max-events", "-1"], id="-1"),
+        pytest.param(["profile", "mcf", "--top", "0"], id="top0"),
+        pytest.param(["profile", "mcf", "--top", "-1"], id="top-1"),
+    ])
+    def test_trace_rejects_non_positive_max_events(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_:
-            cli_main(["trace", "mcf", "--format", "chrome",
-                      "--max-events", bound])
+            cli_main(argv)
         assert exit_.value.code == 2
         assert "must be positive" in capsys.readouterr().err
 

@@ -10,6 +10,7 @@ import threading
 
 import pytest
 
+from repro.__main__ import main as cli_main
 from repro.harness.results_cache import ResultsCache, human_bytes
 
 TD = "cache-test-digest"
@@ -106,3 +107,14 @@ class TestDescribe:
         assert human_bytes(cache.size_bytes()) in text
         assert "1 hit(s) / 1 lookup(s) — 100.0% hit rate" in text
         assert cache.stats.summary() in text
+
+
+def test_cache_json_is_refused_with_clear(tmp_path, capsys):
+    """``--json`` only formats ``stats``: ``clear --json`` exits 2 and
+    leaves every entry in place."""
+    cache = ResultsCache(tmp_path, tree_digest=TD)
+    cache.put(_key(0), b"payload")
+    assert cli_main(["cache", "clear", "--json",
+                     "--results-cache", str(tmp_path)]) == 2
+    assert "only to 'stats'" in capsys.readouterr().err
+    assert len(cache) == 1

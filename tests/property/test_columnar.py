@@ -33,6 +33,7 @@ from repro.harness import (ABLATION_FACTORIES, MODEL_FACTORIES,
                            make_model, run_model)
 from repro.isa import ProgramBuilder, R, execute
 from repro.machine import MachineConfig
+from repro.memory import CacheConfig
 from repro.memory.configs import HIERARCHIES
 from repro.multipass import core as multipass_core
 from repro.ooo import core as ooo_core
@@ -291,6 +292,31 @@ def test_pass_restart_lands_on_first_skipped_cycle():
             assert sorted(fast_seqs) == list(range(n)), (model, padding)
             assert _comparable(fast_stats) == _comparable(slow_stats), (
                 model, padding)
+
+
+def test_load_merges_into_in_flight_fill_of_evicted_line():
+    """An L1D load miss on a line whose fill is still in flight merges
+    into that fill's MSHR.
+
+    With a 2-set direct-mapped L1D, the load at ``+128`` evicts the line
+    the first load is still filling; the repeat load then misses the
+    L1D, hits the L2 and merges into the pending miss.  The program is
+    not compiled, so the scheduler cannot reorder the three loads.
+    """
+    b = ProgramBuilder("mshr-merge")
+    b.movi(R(12), 0x1000)
+    b.ld(R(1), R(12), 0)
+    b.ld(R(2), R(12), 128)
+    b.ld(R(3), R(12), 0)
+    b.halt()
+    trace = execute(b.build())
+    config = MachineConfig(hierarchy=replace(
+        HIERARCHIES["base"](), l1d=CacheConfig("L1D", 128, 64, 1, 1)))
+    for model in ("ooo", "ooo-realistic"):
+        fast = run_model(model, trace, config)
+        slow = run_model(model, trace, config, slow=True)
+        assert fast.memory.mshr_merges == 1, model
+        assert _comparable(fast) == _comparable(slow), model
 
 
 def _regs(k):
