@@ -178,7 +178,9 @@ rm -rf "$trace_dir"
 step "examples and scripts (every script runs to completion)"
 # No test imports the examples or scripts/*.py; a non-zero exit from
 # any of them fails the gate.  pipeline_viewer.py runs mcf at scale
-# 0.05 and the two scripts run at scale 0.05 to stay short.
+# 0.05, the two simulation scripts run at scale 0.05 to stay short, and
+# the A/B driver runs one traced-sweep pair of HEAD against the working
+# tree (~15 s).
 for example in examples/*.py; do
     args=""
     [ "$example" = examples/pipeline_viewer.py ] && args="mcf 0.05"
@@ -191,6 +193,9 @@ python scripts/calibrate.py mcf vpr --scale 0.05 >/dev/null || fail
 echo "scripts/run_experiments.py --scale 0.05 --skip-fig7"
 python scripts/run_experiments.py --scale 0.05 --skip-fig7 >/dev/null \
     || fail
+echo "scripts/ab.py HEAD --workload traced-sweep --pairs 1 --seconds 0"
+python scripts/ab.py HEAD --workload traced-sweep --pairs 1 --seconds 0 \
+    >/dev/null || fail
 
 close_gate
 echo

@@ -149,19 +149,19 @@ def _worker_trace(spec: CellSpec):
     previous = _LAST_TRACE
     if previous is not trace:
         # Cells arrive workload by workload, so the columns the kernels
-        # built on the previous trace (dependence graphs, event pairs,
-        # fetch runs: about 400 bytes per instruction) are dead weight
-        # from here on; drop them so a sweep holds one workload's worth
-        # at a time.  A later revisit rebuilds them on demand.
+        # built on the previous trace (issue codes, fetch lines and
+        # runs, the multipass kind: about 50 bytes per instruction, or
+        # 37 MB for the 12 programs at scale 1.0) are dead weight from
+        # here on; drop them so a sweep holds one workload's worth at a
+        # time.  A later revisit rebuilds them on demand.
         if previous is not None and previous._decoded is not None:
             previous._decoded._columns = None
         _LAST_TRACE = trace
     if trace._decoded is None:
         # Eager decode + column prebuild: the decoded cache and the
-        # shared issue columns (with the CSR dependence graphs hanging
-        # off them, built lazily per rename discipline) are derived
-        # read-only data — built once here, reused by every model of
-        # this (workload, scale) the worker simulates.
+        # shared issue columns are derived read-only data — built once
+        # here, reused by every model of this (workload, scale) the
+        # worker simulates.
         from ..isa.columns import columns_of
 
         columns_of(trace.decoded)

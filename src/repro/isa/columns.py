@@ -1,40 +1,22 @@
-"""Columnar trace data: flat int-array columns and static dependence CSR.
+"""Columnar trace data: flat per-seq columns shared by the timing cores.
 
 Second stage of the decode pipeline (after :mod:`repro.isa.decoded`): the
 timing-core columnar kernels operate on *preallocated flat int arrays*
 indexed by dynamic sequence number, with no per-entry Python objects in
-the simulation hot loops.  This module derives those columns once per
-trace and caches them on the :class:`~repro.isa.decoded.DecodedTrace`.
+the simulation hot loops.  This module derives the columns that are not
+plain decoded fields once per trace and caches them on the
+:class:`~repro.isa.decoded.DecodedTrace`:
 
-Two kinds of columns live here:
-
-* **Issue-resource columns** — ``port_code`` (the
-  :data:`~repro.resources.PORT_CODE` small-int class of each entry) and
-  ``queue_code`` (which decentralized issue queue the entry occupies on
-  the realistic OOO model).  Every core used to rebuild ``port_code``
-  with a per-run list comprehension; sharing it here means one build per
-  trace across a whole sweep.
-
-* **The static dependence graph** — per-seq producer and consumer lists
-  in CSR form (``prod_off``/``prod_seq`` and ``cons_off``/``cons_seq``).
-
-The dependence graph is *exact*, not an approximation, because every
-timing model replays the architecturally correct trace in sequence
-order: dispatch always walks seqs ``0, 1, 2, ...`` (a branch squash only
-rolls the dispatch pointer back and replays the same seqs), so the
-rename-table state observed when seq ``i`` dispatches is a pure function
-of the trace prefix ``[0, i)``.  The producers of ``i`` — the last
-writers of its source registers (plus, on the merged-destination variant
-used by the non-ideal OOO rename path, the last writers of a predicated
-instruction's static destinations) — can therefore be computed once,
-here, instead of being rediscovered at every dispatch.  Producer order
-matches the dispatch-time dict construction (source order, first
-occurrence wins), which the stall-attribution rules depend on.
+* ``port_code`` (the :data:`~repro.resources.PORT_CODE` small-int class
+  of each entry) and ``queue_code`` (which decentralized issue queue the
+  entry occupies on the realistic OOO model);
+* ``fetch_lines`` and ``fetch_runs``, the I-cache line of each entry and
+  the end of its same-line run, per fetch geometry;
+* ``multipass_kind``, the advance-dispatch class of each entry.
 
 Like :class:`~repro.isa.decoded.DecodedTrace`, everything here is
-derived read-only data: columns never change simulation semantics.  The
-equivalence of the static producer sets with the dynamic rename-table
-walk is pinned by ``tests/isa/test_columns.py``.
+derived read-only data: columns never change simulation semantics, and
+``tests/isa/test_columns.py`` pins them to the per-entry rules.
 """
 
 from __future__ import annotations
@@ -43,7 +25,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..resources import PORT_CODE
 from .opcodes import FUClass
-from .registers import NUM_REGS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .decoded import DecodedTrace
@@ -60,120 +41,11 @@ QUEUE_CODE = {
 }
 
 
-class DependenceGraph:
-    """Static producer/consumer CSR arrays for one rename discipline.
-
-    ``prod_seq[prod_off[i]:prod_off[i + 1]]`` lists the in-trace
-    producers of seq ``i`` — the last prior writer of each of its source
-    registers — deduplicated, in first-occurrence source order.  The
-    transpose, ``cons_seq[cons_off[p]:cons_off[p + 1]]``, lists every
-    seq that names ``p`` as a producer, in ascending seq order.
-
-    ``merged_dests=True`` reproduces the conventional-predication rename
-    rule (no predicate renaming): a predicated instruction additionally
-    depends on the prior writers of its *static* destinations, and its
-    static destinations (rather than the dynamically written ones)
-    become the new last-writers.
-    """
-
-    __slots__ = ("merged_dests", "prod_off", "prod_seq",
-                 "cons_off", "cons_seq", "_prod_tuples", "_cons_tuples")
-
-    def __init__(self, dec: "DecodedTrace", merged_dests: bool):
-        self.merged_dests = merged_dests
-        n = dec.n
-        d_srcs = dec.srcs
-        d_dests = dec.dests
-        d_sdests = dec.static_dests
-        d_pred = dec.is_predicated
-
-        last_writer = [-1] * NUM_REGS
-        prod_off = [0] * (n + 1)
-        prod_seq: List[int] = []
-        append = prod_seq.append
-        for seq in range(n):
-            base = len(prod_seq)
-            for src in d_srcs[seq]:
-                p = last_writer[src]
-                if p >= 0:
-                    k = base
-                    top = len(prod_seq)
-                    while k < top and prod_seq[k] != p:
-                        k += 1
-                    if k == top:
-                        append(p)
-            if merged_dests and d_pred[seq]:
-                dest_iter = d_sdests[seq]
-                for dest in dest_iter:
-                    p = last_writer[dest]
-                    if p >= 0:
-                        k = base
-                        top = len(prod_seq)
-                        while k < top and prod_seq[k] != p:
-                            k += 1
-                        if k == top:
-                            append(p)
-            else:
-                dest_iter = d_dests[seq]
-            for dest in dest_iter:
-                last_writer[dest] = seq
-            prod_off[seq + 1] = len(prod_seq)
-        self.prod_off = prod_off
-        self.prod_seq = prod_seq
-
-        # Transpose to consumer lists (counting sort keeps seq order).
-        counts = [0] * (n + 1)
-        for p in prod_seq:
-            counts[p + 1] += 1
-        for i in range(1, n + 1):
-            counts[i] += counts[i - 1]
-        cons_off = list(counts)
-        cons_seq = [0] * len(prod_seq)
-        cursor = list(counts)
-        for seq in range(n):
-            for k in range(prod_off[seq], prod_off[seq + 1]):
-                p = prod_seq[k]
-                cons_seq[cursor[p]] = seq
-                cursor[p] += 1
-        self.cons_off = cons_off
-        self.cons_seq = cons_seq
-        self._prod_tuples = None
-        self._cons_tuples = None
-
-    def prod_tuples(self) -> List[Tuple[int, ...]]:
-        """Per-seq producer tuples (CSR rows materialized, cached)."""
-        tuples = self._prod_tuples
-        if tuples is None:
-            off = self.prod_off
-            seqs = self.prod_seq
-            tuples = [tuple(seqs[off[i]:off[i + 1]])
-                      for i in range(len(off) - 1)]
-            self._prod_tuples = tuples
-        return tuples
-
-    def cons_tuples(self) -> List[Tuple[int, ...]]:
-        """Per-seq consumer tuples (CSR rows materialized, cached)."""
-        tuples = self._cons_tuples
-        if tuples is None:
-            off = self.cons_off
-            seqs = self.cons_seq
-            tuples = [tuple(seqs[off[i]:off[i + 1]])
-                      for i in range(len(off) - 1)]
-            self._cons_tuples = tuples
-        return tuples
-
-    def producers(self, seq: int) -> Tuple[int, ...]:
-        """The producer seqs of ``seq`` (convenience, not hot-path)."""
-        return tuple(self.prod_seq[self.prod_off[seq]:
-                                   self.prod_off[seq + 1]])
-
-
 class TraceColumns:
-    """Shared flat columns + lazily built dependence graphs."""
+    """Shared flat columns of one decoded trace."""
 
-    __slots__ = ("n", "port_code", "queue_code", "_dec", "_graphs",
-                 "_fetch_lines", "_fetch_runs", "_mp_kind", "_issue_kind",
-                 "_ev_pairs")
+    __slots__ = ("n", "port_code", "queue_code", "_dec",
+                 "_fetch_lines", "_fetch_runs", "_mp_kind")
 
     def __init__(self, dec: "DecodedTrace"):
         self.n = dec.n
@@ -182,20 +54,9 @@ class TraceColumns:
         self.port_code = [port[fu] for fu in dec.issue_fu]
         self.queue_code = [queue[fu] for fu in dec.issue_fu]
         self._dec = dec
-        self._graphs: Dict[bool, DependenceGraph] = {}
         self._fetch_lines: Dict[Tuple[int, int], List[int]] = {}
         self._fetch_runs: Dict[Tuple[int, int], List[int]] = {}
         self._mp_kind: Optional[List[int]] = None
-        self._issue_kind: Dict[bool, bytes] = {}
-        self._ev_pairs: Optional[List[Tuple[int, int]]] = None
-
-    def dependences(self, merged_dests: bool = False) -> DependenceGraph:
-        """The static dependence graph for one rename discipline."""
-        graph = self._graphs.get(merged_dests)
-        if graph is None:
-            graph = DependenceGraph(self._dec, merged_dests)
-            self._graphs[merged_dests] = graph
-        return graph
 
     def fetch_lines(self, inst_bytes: int, line_size: int) -> List[int]:
         """Per-seq I-cache line id column (``pc * inst_bytes // line``).
@@ -231,41 +92,6 @@ class TraceColumns:
                     runs[i] = runs[i + 1]
             self._fetch_runs[key] = runs
         return runs
-
-    def issue_kind(self, merged_dests: bool = False) -> bytes:
-        """Packed per-seq issue-path flags for the OOO kernel.
-
-        Bit 0: memory-executing, bit 1: branch, bit 2: has static
-        consumers under the given rename discipline.  One subscript in
-        the issue tail replaces three flag-column probes (and the
-        common plain-ALU-with-consumers shape tests as a single byte).
-        """
-        kind = self._issue_kind.get(merged_dests)
-        if kind is None:
-            dec = self._dec
-            d_mem = dec.mem_exec
-            d_branch = dec.is_branch
-            off = self.dependences(merged_dests).cons_off
-            kind = bytes(
-                (1 if d_mem[s] else 0)
-                | (2 if d_branch[s] else 0)
-                | (4 if off[s] != off[s + 1] else 0)
-                for s in range(self.n))
-            self._issue_kind[merged_dests] = kind
-        return kind
-
-    def event_pairs(self) -> List[Tuple[int, int]]:
-        """Generation-zero ``(seq, gen)`` wheel entries, one per seq.
-
-        The OOO kernel copies this list and re-points an entry only
-        when a squash bumps that seq's generation, so the hot event
-        push appends a prebuilt pair instead of building a tuple.
-        """
-        pairs = self._ev_pairs
-        if pairs is None:
-            pairs = [(s, 0) for s in range(self.n)]
-            self._ev_pairs = pairs
-        return pairs
 
     def multipass_kind(self) -> List[int]:
         """Advance-dispatch class per seq for the multipass kernel.

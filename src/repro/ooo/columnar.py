@@ -1,4 +1,4 @@
-"""Event-driven columnar kernel for the out-of-order cores (gen 2).
+"""Event-driven columnar kernel for the out-of-order cores.
 
 Drop-in replacement for the scalar cycle loop in
 :mod:`repro.ooo.core` (kept there as the ``--slow`` reference; a
@@ -10,32 +10,28 @@ preallocated flat columns and a shared event calendar
 (:mod:`repro.pipeline.eventq`) instead of polling the scheduling
 window:
 
-* **Wakeup is consumer-driven, off a static-pending accumulator.**
-  ``spend[c]`` always equals the number of c's *static* producers whose
-  values are currently invisible: it starts at the static in-degree,
-  every producer-visibility event — fired at ``issue + latency +
-  wakeup_delay``, the realistic model's wakeup delay folded into the
-  event time at insertion — walks its full static consumer row (the
-  CSR of :mod:`repro.isa.columns`) decrementing it, and a squash
-  re-increments the rows of fires it rewinds.  Each dependence edge is
-  therefore visited exactly once per fire, dispatch reads its dynamic
-  invisible-producer count straight out of the accumulator (a producer
-  the old dispatch-time filter would have dropped has already fired
-  and decremented), and a dispatched consumer hitting zero drops
-  straight into the ready queue.  Nothing ever scans a waiting list;
-  the old sorted ``waiting`` list survives only as the ``n_waiting``
-  counter, and the window boundary — only meaningful when more than
-  ``window`` seqs wait, which is rare — is recovered on demand from the
-  ROB range, whose un-issued subsequence is exactly the old list.
-* **Dirty rename epochs fall back to dynamic producers.**  The scalar
-  loop's squash reset *forgets* a surviving producer once a wrong-path
-  writer clobbered its register — observable seed behaviour the static
-  graph cannot express — so from a squash until every forgotten
-  register is rewritten, dispatch walks the last-writer table exactly
-  like the scalar loop, stores the invisible producers (``cprods``)
-  with their count (``pending``), and flags the seq ``dirty``; the
-  fire walk honours the flag (membership-checked dynamic decrement)
-  while still maintaining the static accumulator underneath.
+* **Wakeup runs off wait lists built at dispatch.**  Rename is the
+  scalar loop's own: dispatch walks the last-writer table over each
+  source (and, on the realistic model, a predicated instruction's
+  static destinations), in source order with the first occurrence
+  winning.  Every distinct producer that is not yet visible is counted
+  in ``pending[c]``, kept in ``cprods[c]`` for stall attribution, and
+  gets ``c`` appended to its wait list ``waits[p]``.  A producer's
+  visibility event — at ``issue + latency + wakeup_delay``, the
+  realistic model's wakeup delay folded into the event time — walks
+  only its own wait list, and a consumer whose count reaches zero drops
+  into the ready queue.  Nothing scans the scheduling window; the
+  scalar ``waiting`` list survives only as the ``n_waiting`` counter,
+  and the window boundary — only meaningful when more than ``window``
+  seqs wait, which is rare — is recovered on demand from the ROB
+  range, whose un-issued subsequence is exactly the old list.
+* **One event per producer with waiters.**  It is scheduled at issue
+  when the wait list is non-empty, or at the first waiter's dispatch
+  when the producer has already issued.  Calendar entries are bare
+  seqs (heap entries ``(cycle, seq)``), and the stamp is the producer's
+  visibility cycle: an entry drained at cycle ``t`` is live only if
+  ``value_ready[p] == t``.  Two entries for one producer falling due
+  together are harmless — the second finds the list already emptied.
 * **The ready queue pops from a head pointer.**  One ascending seq
   list consumed from a moving head: while the scan has skipped no
   port-starved entry, issuing is a pure head advance — no ``del
@@ -56,10 +52,12 @@ window:
   occupancy is ``dispatch_ptr - commit_ptr``, the dispatch gate is
   ``commit_ptr + rob_capacity``, commit walks ``commit_ptr`` forward,
   and squash is a loop over ``range(squash_after + 1, dispatch_ptr)``.
-* **Incarnations.**  A squash re-dispatches the same seqs (trace
-  replay), so per-seq state is generation-stamped: ``gen[s]`` bumps at
-  squash and calendar entries carry the gen at insertion; a stale
-  entry is discarded at drain.
+* **Squash truncates.**  A squash re-dispatches the same seqs (trace
+  replay).  The squashed seqs' own wait lists are cleared (their
+  waiters are younger, hence squashed too), surviving producers drop
+  squashed waiters from the tail of their ascending lists, and
+  squashed rename-table entries reset to -1, as in the scalar loop.
+  Their pending events go stale through ``value_ready``.
 
 Equivalence invariants (the bit-identity contract, see
 ``docs/architecture.md`` §13):
@@ -70,8 +68,7 @@ Equivalence invariants (the bit-identity contract, see
   Producer events fire at the start of their cycle, before dispatch and
   issue — the same ordering as the scalar loop's read of
   ``value_ready`` (a consumer dispatching the very cycle a producer
-  becomes visible sees it visible and never counts it; the event walk
-  cannot reach it because it fires before the consumer dispatches).
+  becomes visible sees it visible and never joins its wait list).
 * Queue inserts at fire time use ``insort`` bounded below by the head —
   the region behind the head is dead and unordered, so the bound is a
   correctness requirement, not a hint — keeping the live region
@@ -81,20 +78,16 @@ Equivalence invariants (the bit-identity contract, see
 * No live event can land inside a fast-forwarded span: the skip is
   capped by the wake horizon, the minimum over in-flight completions —
   exactly the cycles producer events are scheduled at (modulo the
-  ``wakeup_delay`` adjustment applied to both).  Only stale
-  (squashed-gen) entries can be jumped; their stamp discards them when
-  the wheel slot next comes around.
+  ``wakeup_delay`` adjustment applied to both).  Only stale entries can
+  be jumped; their stamp discards them when they next surface.
 * The window boundary (the ``window``-th oldest un-issued seq) and the
   port counters are sampled once per cycle before the issue scan,
   matching the scalar scan's fixed candidate slice.
 
 The memory fast paths mirror :class:`~repro.memory.MemoryHierarchy`
 exactly: L1 hits (and in-flight-fill hits) are served inline with
-localized stats/LRU clocks, and an L1D *miss* that merges into an
-in-flight MSHR fill under an L2 directory hit — the dominant fallback
-shape — is also inlined (same stats, same LRU, same pending-table side
-effects); everything else walks ``hierarchy.access`` bracketed by
-write-back/reload pairs.
+localized stats/LRU clocks; everything else walks ``hierarchy.access``
+bracketed by write-back/reload pairs.
 
 The differential suites (``tests/property/test_columnar.py``,
 ``tests/property/test_fast_path.py``) and the golden matrix pin all of
@@ -128,16 +121,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     n = dec.n
     cols = columns_of(dec)
     merge_dests = not core.ideal
-    graph = cols.dependences(merge_dests)
-    cons_lists = graph.cons_tuples()
-    sprods = graph.prod_tuples()
     port_code = cols.port_code
     queue_code = cols.queue_code
-    # Packed issue-path flags (bit0 mem, bit1 branch, bit2 consumers)
-    # and prebuilt gen-0 wheel pairs; the pair list is copied because a
-    # squash re-points the squashed seqs' entries at their new gen.
-    kind = cols.issue_kind(merge_dests)
-    ev_pair = list(cols.event_pairs())
 
     d_srcs = dec.srcs
     d_dests = dec.dests
@@ -252,33 +237,20 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     # Flat per-seq state (current incarnation).
     value_ready = [0] * n        # visibility cycle; 0 = not issued
     ready_cycle = [0] * n        # completion (commit-eligibility) cycle
-    gen = [0] * n                # incarnation counter (bumped at squash)
     unissued = bytearray(n)      # dispatched and awaiting issue
     load_wait = bytearray(n)     # issued load that missed the L1
-    # Static-pending accumulator: ``spend[c]`` always equals the number
-    # of c's *static* producers whose values are currently invisible.
-    # Initialized to the static in-degree; every producer fire walks its
-    # full consumer row and decrements (each dependence edge is visited
-    # exactly once), and a squash re-increments the rows of producers
-    # whose fire it rewinds.  While the rename table is clean, the
-    # dynamic invisible-producer count of a *dispatching* seq is exactly
-    # ``spend[seq]`` — a producer the old dispatch filter would drop
-    # (visible at dispatch) has already fired and decremented — so
-    # dispatch needs no producer walk at all.
-    spend = [len(t) for t in sprods]
-    pending = [0] * n            # dynamic count, dirty-mode seqs only
-    dirty = bytearray(n)         # seq dispatched with a dirty table
-    cprods = [()] * n            # dirty-mode invisible producer rows
+    # Wakeup state, built at dispatch through the rename table like the
+    # scalar loop's producer dict: ``pending[c]`` counts c's producers
+    # that were invisible at dispatch and are still invisible,
+    # ``cprods[c]`` lists them in rename order for stall attribution
+    # (read only while ``pending[c]``), and ``waits[p]`` holds p's
+    # waiting consumers in ascending seq order (None: nobody waits).
+    pending = [0] * n
+    cprods = [()] * n
+    waits = [None] * n
     # reg -> last producing seq (-1: none); reproduces the scalar rename
     # table including its post-squash forgetting, which is observable.
     last_writer = [-1] * NUM_REGS
-    # Registers forgotten by a squash (reset to -1 while the static
-    # graph may still name a surviving producer) and not rewritten
-    # since.  While this set is empty the rename table is *provably*
-    # identical to the static prefix state, so dispatch can read its
-    # producers straight from the precomputed static tuples; while it
-    # is non-empty, dispatch falls back to the exact dynamic walk.
-    forgotten = set()
 
     n_waiting = 0   # dispatched un-issued seqs (the scalar waiting-list size)
     wl_cur = -1     # window boundary (``window``-th oldest un-issued seq),
@@ -293,9 +265,9 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     rdy = []
     hr = 0
     # Producer-visibility events on the shared calendar: near events in
-    # the 64-slot wheel as (seq, gen) pairs drained exactly at their
-    # cycle, far events (memory misses) heap-ordered as
-    # (cycle, seq, gen).
+    # the 64-slot wheel as bare seqs drained exactly at their cycle, far
+    # events (memory misses) heap-ordered as (cycle, seq).  An entry
+    # drained at cycle ``now`` is live only if ``value_ready[p] == now``.
     cal = EventCalendar()
     wheel = cal.wheel
     heap = cal.heap
@@ -309,41 +281,23 @@ def run_columnar(core, max_cycles: int) -> SimStats:
             core.check_cycle_budget(now, max_cycles)
 
         # ---- wake-ups: producers whose values become visible now ------
+        # Far events come due into this cycle's slot; each live entry
+        # walks its producer's wait list once and empties it.
         slot = wheel[now & 63]
-        if slot:
-            for p, g in slot:
-                if gen[p] != g:
-                    continue                   # stale incarnation
-                for c in cons_lists[p]:
-                    sp = spend[c] - 1
-                    spend[c] = sp
-                    if unissued[c]:
-                        if dirty[c]:
-                            if p in cprods[c]:
-                                pend = pending[c] - 1
-                                pending[c] = pend
-                                if not pend:
-                                    insort(rdy, c, hr)
-                        elif not sp:
-                            insort(rdy, c, hr)
-            del slot[:]
         while heap and heap[0][0] <= now:
-            event = heappop(heap)
-            p = event[1]
-            if gen[p] != event[2]:
-                continue                       # stale incarnation
-            for c in cons_lists[p]:
-                sp = spend[c] - 1
-                spend[c] = sp
-                if unissued[c]:
-                    if dirty[c]:
-                        if p in cprods[c]:
+            slot.append(heappop(heap)[1])
+        if slot:
+            for p in slot:
+                if value_ready[p] == now:
+                    wl = waits[p]
+                    if wl is not None:
+                        waits[p] = None
+                        for c in wl:
                             pend = pending[c] - 1
                             pending[c] = pend
                             if not pend:
                                 insort(rdy, c, hr)
-                    elif not sp:
-                        insort(rdy, c, hr)
+            del slot[:]
 
         # ---- fetch (inlined frontend.tick, same-line runs batched) ----
         if f_fetched < n and now >= f_stall:
@@ -428,52 +382,51 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                 if queue_fill[qc] >= queue_cap:
                     break                      # in-order dispatch blocks
                 queue_fill[qc] += 1
-            if not forgotten:
-                # Clean table: the static rename result stands, and the
-                # static-pending accumulator already holds the invisible
-                # producer count — no producer walk at all.
-                pend = spend[seq]
-                dirty[seq] = 0
-                if merge_dests and d_pred[seq]:
-                    dest_iter = d_sdests[seq]
-                else:
-                    dest_iter = d_dests[seq]
-                for dest in dest_iter:
-                    last_writer[dest] = seq
+            # Rename, as the scalar loop's producer walk: sources, then
+            # (merged rule) static destinations; first occurrence wins.
+            srcs = d_srcs[seq]
+            if merge_dests and d_pred[seq]:
+                # Without predicate renaming, a predicated write must
+                # merge with the destination's previous value.
+                dest_iter = d_sdests[seq]
+                srcs += dest_iter
             else:
-                prods = []
-                for src in d_srcs[seq]:
-                    p = last_writer[src]
-                    if p >= 0 and p not in prods:
-                        r = value_ready[p]
-                        if r == 0 or r > now:
-                            prods.append(p)
-                if merge_dests and d_pred[seq]:
-                    # Without predicate renaming, a predicated write
-                    # must merge with the destination's previous value.
-                    dest_iter = d_sdests[seq]
-                    for dest in dest_iter:
-                        p = last_writer[dest]
-                        if p >= 0 and p not in prods:
-                            r = value_ready[p]
-                            if r == 0 or r > now:
-                                prods.append(p)
-                else:
-                    dest_iter = d_dests[seq]
-                for dest in dest_iter:
-                    last_writer[dest] = seq
-                    forgotten.discard(dest)
-                pend = len(prods)
-                cprods[seq] = prods
-                pending[seq] = pend
-                dirty[seq] = 1
+                dest_iter = d_dests[seq]
+            prods = []
+            for src in srcs:
+                p = last_writer[src]
+                if p >= 0:
+                    r = value_ready[p]
+                    if r == 0 or r > now:
+                        # Not yet visible: join p's wait list.
+                        wl = waits[p]
+                        if wl is None:
+                            waits[p] = [seq]
+                            if r:
+                                # p issued while nobody waited, so the
+                                # first waiter schedules its event.
+                                if r - now < WHEEL:
+                                    wheel[r & 63].append(p)
+                                else:
+                                    heappush(heap, (r, p))
+                        elif wl[-1] != seq:
+                            wl.append(seq)
+                        else:
+                            continue           # repeated producer
+                        prods.append(p)
+            for dest in dest_iter:
+                last_writer[dest] = seq
             unissued[seq] = 1
             n_waiting += 1
-            if not pend:
+            if prods:
+                pending[seq] = len(prods)
+                cprods[seq] = prods
+            else:
                 # Every producer already visible: ready this cycle.
                 # Dispatch runs in ascending seq order and seqs in the
                 # queue are all older, so append keeps the live region
                 # sorted.
+                pending[seq] = 0
                 rdy.append(seq)
             dispatch_ptr += 1
         dispatched = dispatch_ptr - dstart
@@ -570,9 +523,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                         wl_cur = wb
                     else:
                         wl_cur = -1
-                k = kind[seq]
                 latency = d_lat[seq]
-                if k & 1:                      # memory-executing
+                if d_mem[seq]:
                     addr = d_addr[seq]
                     line = addr // l1d_line
                     cset = l1d_sets[line % l1d_nsets]
@@ -640,16 +592,16 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                 value_ready[seq] = visible
                 # One visibility event per producer, the realistic
                 # model's wakeup delay already folded in; gated on
-                # having consumers at all.
-                if k & 4:
+                # having waiters at all.
+                if waits[seq] is not None:
                     if visible - now < WHEEL:
-                        wheel[visible & 63].append(ev_pair[seq])
+                        wheel[visible & 63].append(seq)
                     else:
-                        heappush(heap, (visible, seq, gen[seq]))
+                        heappush(heap, (visible, seq))
                 if has_queues:
                     queue_fill[queue_code[seq]] -= 1
                 issued += 1
-                if k & 2:                      # branch
+                if d_branch[seq]:
                     # Inline gshare.update + FrontEnd.redirect.
                     idx = (d_pc[seq] ^ bp_history) & bp_mask
                     counter = bp_counters[idx]
@@ -696,20 +648,9 @@ def run_columnar(core, max_cycles: int) -> SimStats:
         # ---- squash wrong-path work younger than the branch ------------
         if squash_after >= 0:
             for s in range(squash_after + 1, dispatch_ptr):
-                g2 = gen[s] + 1                # invalidate calendar events
-                gen[s] = g2
-                ev_pair[s] = (s, g2)
-                r = value_ready[s]
-                if r and r <= now:
-                    # The squashed producer's visibility event already
-                    # fired (events drain at cycle start, issue is
-                    # later, and the minimum latency is 1, so a fired
-                    # event always has ``visible <= now``): rewind its
-                    # decrements so the accumulator again counts it
-                    # invisible.  Every consumer of a squashed seq is
-                    # younger, hence squashed too.
-                    for c in cons_lists[s]:
-                        spend[c] += 1
+                # s's waiters are younger, hence squashed too; its
+                # pending event goes stale with ``value_ready``.
+                waits[s] = None
                 value_ready[s] = 0
                 load_wait[s] = 0
                 if unissued[s]:
@@ -717,6 +658,18 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                     n_waiting -= 1
                     if has_queues:
                         queue_fill[queue_code[s]] -= 1
+                    if pending[s]:
+                        # Drop s, and with it every younger squashed
+                        # waiter, from the surviving producers' lists:
+                        # each list ascends, so they sit at its tail.
+                        for p in cprods[s]:
+                            if p <= squash_after:
+                                wl = waits[p]
+                                if wl is not None:
+                                    while wl and wl[-1] > squash_after:
+                                        wl.pop()
+                                    if not wl:
+                                        waits[p] = None
                 # Forget squashed rename-table entries.  A register maps
                 # beyond the squash point iff its most recent writer is
                 # one of the squashed seqs, so visiting each squashed
@@ -730,7 +683,6 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                 for dest in dests:
                     if last_writer[dest] > squash_after:
                         last_writer[dest] = -1
-                        forgotten.add(dest)
             # Truncate the queue's live region past the squash point
             # (the dead region below the head needs no maintenance).
             del rdy[bisect_right(rdy, squash_after, hr):]
@@ -776,17 +728,15 @@ def run_columnar(core, max_cycles: int) -> SimStats:
             if not unissued[h]:
                 cause = LOAD if load_wait[h] else OTHER
             else:
+                # The scalar loop's first invisible producer in rename
+                # order; none once ``pending`` is 0 (port or window).
                 cause = OTHER
-                # Dirty-mode seqs carry their dynamic producer row;
-                # clean-mode seqs walk the static row — a static
-                # producer the dynamic filter would have dropped was
-                # visible at dispatch and stays visible while ``h``
-                # lives, so the first-invisible hit is the same.
-                for p in (cprods[h] if dirty[h] else sprods[h]):
-                    r = value_ready[p]
-                    if r == 0 or r > now:
-                        cause = LOAD if d_load[p] else OTHER
-                        break
+                if pending[h]:
+                    for p in cprods[h]:
+                        r = value_ready[p]
+                        if r == 0 or r > now:
+                            cause = LOAD if d_load[p] else OTHER
+                            break
             if cause is LOAD:
                 c_load += 1
             else:
@@ -837,17 +787,14 @@ def run_columnar(core, max_cycles: int) -> SimStats:
             skip_to = wake if wake < cap else cap
             if now < skip_to < _INF:
                 # Same attribution rule, evaluated at the post-increment
-                # cycle like the scalar loop.
+                # cycle like the scalar loop.  The head has issued: this
+                # cycle dispatched, issued and committed nothing, yet an
+                # unissued head would have issued — its producers are
+                # older, hence committed and visible by the cycle after
+                # their commit, and the oldest ready seq always gets a
+                # port.
                 h = commit_ptr
-                if not unissued[h]:
-                    cause = LOAD if load_wait[h] else OTHER
-                else:
-                    cause = OTHER
-                    for p in cprods[h]:
-                        r = value_ready[p]
-                        if r == 0 or r > now:
-                            cause = LOAD if d_load[p] else OTHER
-                            break
+                cause = LOAD if load_wait[h] else OTHER
                 if cause is LOAD:
                     c_load += skip_to - now
                 else:

@@ -10,28 +10,30 @@ two-tier calendar:
 * farther events (memory-latency fills) go to a binary heap ordered by
   due cycle, popped as they come due.
 
-The calendar stores caller-shaped tuples and never inspects them beyond
+The calendar stores caller-shaped entries and never inspects them beyond
 the heap ordering, so one contract serves both kernels:
 
 * **Far entries are due-cycle-first.**  A heap entry must compare by
   its due cycle, i.e. ``entry[0] == time``.  Wheel entries need no time
   field when the caller drains slots cycle-by-cycle (the slot index IS
-  the time): the OOO kernel stores ``(seq, gen)`` pairs.  A caller that
-  min-scans slots out of drain order (the multipass hardware-restart
-  rendezvous) stores the time explicitly.
+  the time): the OOO kernel stores bare seqs, and ``(cycle, seq)`` on
+  the heap.  A caller that min-scans slots out of drain order (the
+  multipass hardware-restart rendezvous) stores the time explicitly.
 * **Staleness is the caller's stamp, checked at drain.**  Nothing is
-  ever removed from the calendar eagerly.  Callers stamp entries with a
-  generation/epoch at insertion (the OOO kernel's per-seq ``gen``,
-  bumped at squash; the multipass kernel's pass epoch) and discard
-  mismatches when the entry surfaces.  This is what makes wheel slots
-  safe across 64-cycle wraps and idle fast-forward spans: a *live*
-  entry is always drained exactly at its due cycle (every entry is
-  inserted less than :data:`WHEEL` cycles before it fires, so the first
-  visit of its slot after insertion is its own cycle, and the kernels'
-  quiescence skips never jump a live event — the wake horizon that caps
-  a skip is itself derived from the in-flight completions that feed the
+  ever removed from the calendar eagerly.  A caller discards an entry
+  whose stamp no longer matches when it surfaces.  The OOO kernel's
+  stamp is the producer's visibility cycle: an entry drained at cycle
+  ``t`` is live only if ``value_ready[seq] == t``, which a squash
+  resets.  The multipass kernel stores its pass epoch in the entry at
+  insertion.  This is what makes wheel slots safe across 64-cycle
+  wraps and idle fast-forward spans: a *live* entry is always drained
+  exactly at its due cycle (every entry is inserted less than
+  :data:`WHEEL` cycles before it fires, so the first visit of its slot
+  after insertion is its own cycle, and the kernels' quiescence skips
+  never jump a live event — the wake horizon that caps a skip is
+  itself derived from the in-flight completions that feed the
   calendar); only *stale* entries can be jumped, and their stamp
-  discards them whenever the slot next comes around.
+  discards them whenever they next surface.
 * **Hot loops inline.**  The kernels localize :attr:`wheel` and
   :attr:`heap` and open-code :meth:`schedule` / the drain loop — at a
   few million events per second a method call per event is measurable.

@@ -1,13 +1,9 @@
-"""Pin the columnar trace data to its dynamic reference semantics.
+"""Pin the columnar trace data to its per-entry reference rules.
 
-The static dependence graph in ``repro.isa.columns`` claims to be
-*exactly* the producer sets a timing core's dispatch stage would compute
-by walking a rename table over the trace in seq order.  This suite
-re-derives those sets with a straightforward dict-based reference walk
-(for both rename disciplines) and asserts the CSR arrays agree entry by
-entry, on a real workload trace that exercises predication, nullified
-slots, loads, stores and branches.  The issue-resource columns are
-pinned against the per-entry rules the cores used to apply inline.
+The issue-resource columns in ``repro.isa.columns`` are checked against
+the per-entry rules the cores used to apply inline, on a real workload
+trace that exercises predication, nullified slots, loads, stores and
+branches.
 """
 
 import pytest
@@ -21,67 +17,6 @@ from repro.resources import PORT_CODE
 @pytest.fixture(scope="module")
 def trace():
     return TraceCache(scale=0.05).trace("vpr")
-
-
-def _reference_producers(dec, merged_dests):
-    """Dynamic rename-table walk: last writer of each source register."""
-    last_writer = {}
-    producers = []
-    for seq in range(dec.n):
-        prods = []
-        for src in dec.srcs[seq]:
-            p = last_writer.get(src, -1)
-            if p >= 0 and p not in prods:
-                prods.append(p)
-        if merged_dests and dec.is_predicated[seq]:
-            dests = dec.static_dests[seq]
-            for dest in dests:
-                p = last_writer.get(dest, -1)
-                if p >= 0 and p not in prods:
-                    prods.append(p)
-        else:
-            dests = dec.dests[seq]
-        for dest in dests:
-            last_writer[dest] = seq
-        producers.append(tuple(prods))
-    return producers
-
-
-@pytest.mark.parametrize("merged_dests", [False, True])
-def test_static_producers_match_rename_walk(trace, merged_dests):
-    dec = trace.decoded
-    graph = columns_of(dec).dependences(merged_dests)
-    reference = _reference_producers(dec, merged_dests)
-    assert graph.prod_off[0] == 0
-    assert graph.prod_off[dec.n] == len(graph.prod_seq)
-    for seq in range(dec.n):
-        assert graph.producers(seq) == reference[seq], seq
-
-
-def test_merged_variant_differs_on_predicated_code(trace):
-    """vpr predicates enough code that the two disciplines disagree."""
-    dec = trace.decoded
-    ideal = columns_of(dec).dependences(False)
-    merged = columns_of(dec).dependences(True)
-    assert any(ideal.producers(seq) != merged.producers(seq)
-               for seq in range(dec.n))
-
-
-@pytest.mark.parametrize("merged_dests", [False, True])
-def test_consumer_lists_are_exact_transpose(trace, merged_dests):
-    dec = trace.decoded
-    graph = columns_of(dec).dependences(merged_dests)
-    pairs = {(p, seq)
-             for seq in range(dec.n)
-             for p in graph.producers(seq)}
-    transposed = set()
-    for p in range(dec.n):
-        lo, hi = graph.cons_off[p], graph.cons_off[p + 1]
-        consumers = graph.cons_seq[lo:hi]
-        assert consumers == sorted(consumers), p
-        for seq in consumers:
-            transposed.add((p, seq))
-    assert transposed == pairs
 
 
 def test_issue_resource_columns(trace):
@@ -103,6 +38,5 @@ def test_columns_cached_per_decoded_trace(trace):
     dec = trace.decoded
     cols = columns_of(dec)
     assert columns_of(dec) is cols
-    assert cols.dependences(False) is cols.dependences(False)
-    assert cols.dependences(True) is cols.dependences(True)
-    assert cols.dependences(False) is not cols.dependences(True)
+    assert cols.fetch_runs(4, 64) is cols.fetch_runs(4, 64)
+    assert cols.multipass_kind() is cols.multipass_kind()

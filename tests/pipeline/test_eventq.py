@@ -15,7 +15,7 @@ contract the kernels rely on:
 * an idle fast-forward bounded by the wake horizon never jumps a live
   entry — the slot still holds it when the clock lands on its cycle.
 
-The last test class pins the gen-2 OOO kernel's *issue-select
+The last test class pins the OOO kernel's *issue-select
 discipline*: a single ascending ready queue with a dead-region head
 pointer, mid-deletes only for port-starved skips, and ``insort`` above
 the head must select exactly the seqs an oldest-first scalar scan with
@@ -91,18 +91,20 @@ class TestFarHeap:
 
 class TestStaleness:
     def test_squash_restamp_discards_at_drain(self):
-        # The OOO kernel's squash protocol: bump the seq's generation,
-        # leave the old entry in place.  The calendar surfaces both
-        # eras; the caller's stamp check keeps exactly the live one.
+        # The OOO kernel's squash protocol: reset the seq's visibility
+        # cycle, leave the old entry in place.  The calendar surfaces
+        # both eras; the caller's stamp check (live only if the seq
+        # becomes visible at the drain cycle) keeps exactly the live one.
         cal = EventCalendar()
-        gen = 0
-        cal.schedule(10, now=5, entry=(4, gen))
-        gen += 1                          # squash seq 4
-        cal.schedule(12, now=6, entry=(4, gen))      # reissue
-        stale = [e for e in cal.pop_due(10) if e[1] == gen]
+        value_ready = {4: 10}
+        cal.schedule(10, now=5, entry=4)
+        value_ready[4] = 0                # squash seq 4
+        value_ready[4] = 12               # reissue
+        cal.schedule(12, now=6, entry=4)
+        stale = [p for p in cal.pop_due(10) if value_ready[p] == 10]
         assert stale == []                # old-era entry discarded
-        live = [e for e in cal.pop_due(12) if e[1] == gen]
-        assert live == [(4, 1)]
+        live = [p for p in cal.pop_due(12) if value_ready[p] == 12]
+        assert live == [4]
 
     def test_stale_entry_jumped_by_wrap_still_discardable(self):
         # Only stale entries may be jumped by a skip; when the slot
@@ -229,7 +231,7 @@ def _scalar_select(ready, codes, budgets, width, wlimit):
 
 
 def _queue_select(rdy, hr, codes, budgets, width, wlimit):
-    """The gen-2 kernel's queue discipline, verbatim shape.
+    """The OOO kernel's queue discipline, verbatim shape.
 
     ``rdy[hr:]`` is the live ascending region; issued entries advance
     the head when they sit at it and are mid-deleted when a
