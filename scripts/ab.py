@@ -15,8 +15,11 @@ For each end-to-end metric of ``BENCHMARK.json`` it prints both
 medians, the base's interquartile range, the change/base ratio of the
 medians and how many pairs the change won, in the direction
 ``BENCHMARK.json`` calls better.  It exits non-zero if a run fails or
-reports ``"correct": false``.  The temporary directory honours
-``TMPDIR``.
+reports ``"correct": false``.  The temporary worktree lives under
+this tree's ``.bench_build/`` (gitignored), not the system temporary
+directory, so both sides run from the same place: with the base under
+``/tmp``, A/A runs favoured the base (EXPERIMENTS.md, "How to benchmark
+the simulator itself").
 """
 
 from __future__ import annotations
@@ -93,7 +96,9 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
-    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+    scratch = ROOT / ".bench_build"
+    scratch.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix="ab-", dir=scratch) as tmp:
         base_tree = Path(tmp) / "base"
         added = subprocess.run(["git", "worktree", "add", "--detach",
                                 str(base_tree), args.rev], cwd=ROOT,

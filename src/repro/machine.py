@@ -34,9 +34,6 @@ class MachineConfig:
     branch_predictor_entries: int = 1024
     mispredict_penalty: int = 6
     instruction_bytes: int = 16   # dispersal footprint per instruction
-    #: Install the static code in the I-caches at reset.  Kernels stand in
-    #: for steady-state SPEC execution where the loop code is resident.
-    prewarm_icache: bool = True
 
     # Baseline in-order instruction buffer (Itanium 2 holds ~24).
     inorder_buffer_size: int = 24

@@ -77,16 +77,11 @@ class MemoryHierarchy:
         # passed it, every ``_pending`` entry is expired and the hit
         # fast path can skip the per-access dict probe entirely.
         self._pending_horizon = 0
-        # The level walks, prebuilt (``_data_levels`` rebuilt these
-        # lists on every access).
         levels = [self.l2] if self.l3 is None else [self.l2, self.l3]
         self._i_levels = tuple([self.l1i] + levels)
         self._d_levels = tuple([self.l1d] + levels)
 
     # -- internal helpers -----------------------------------------------------
-
-    def _data_levels(self, first: Cache):
-        return (self._i_levels if first is self.l1i else self._d_levels)
 
     def _pending_ready(self, cache: Cache, addr: int, now: int
                        ) -> Optional[int]:
