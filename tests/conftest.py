@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, settings
 
 from repro.compiler import CompileOptions, compile_program
 from repro.isa import ProgramBuilder, execute
+from repro.memory import CacheConfig
 
 settings.register_profile(
     "ci",
@@ -34,6 +35,11 @@ settings.register_profile(
 )
 settings.register_profile("dev", settings.get_profile("default"))
 settings.load_profile("ci" if os.environ.get("REPRO_CI") == "1" else "dev")
+
+#: A direct-mapped L1I of two 64-byte lines: no packaged or generated
+#: program's code fits, so fetch probes the L1I through
+#: ``hierarchy.access`` and stalls on its misses.
+TWO_LINE_L1I = CacheConfig("L1I", 128, 64, 1, 1)
 
 
 def pytest_addoption(parser):
