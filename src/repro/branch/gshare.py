@@ -8,6 +8,10 @@ predictor without perturbing a different model's run.
 
 from __future__ import annotations
 
+#: 2-bit counter transitions on a taken / not-taken outcome (saturating).
+_INC = (1, 2, 3, 3)
+_DEC = (0, 0, 1, 2)
+
 
 class GsharePredictor:
     """1024-entry gshare with a global history register."""
@@ -17,18 +21,15 @@ class GsharePredictor:
             raise ValueError("entries must be a power of two")
         self.entries = entries
         self._mask = entries - 1
-        self._history_bits = entries.bit_length() - 1
+        self._history_mask = (1 << (entries.bit_length() - 1)) - 1
         self._counters = [2] * entries   # weakly taken
         self._history = 0
         self.predictions = 0
         self.mispredictions = 0
 
-    def _index(self, pc: int) -> int:
-        return (pc ^ self._history) & self._mask
-
     def predict(self, pc: int) -> bool:
         """Predicted direction for the branch at static index ``pc``."""
-        return self._counters[self._index(pc)] >= 2
+        return self._counters[(pc ^ self._history) & self._mask] >= 2
 
     def update(self, pc: int, taken: bool) -> bool:
         """Record the outcome; returns True when the prediction was correct.
@@ -36,17 +37,21 @@ class GsharePredictor:
         Updates the pattern table and the global history, and maintains
         the prediction/misprediction counters.
         """
-        idx = self._index(pc)
-        prediction = self._counters[idx] >= 2
-        correct = prediction == taken
+        counters = self._counters
+        history = self._history
+        idx = (pc ^ history) & self._mask
+        counter = counters[idx]
         self.predictions += 1
+        if taken:
+            counters[idx] = _INC[counter]
+            self._history = ((history << 1) | 1) & self._history_mask
+            correct = counter >= 2
+        else:
+            counters[idx] = _DEC[counter]
+            self._history = (history << 1) & self._history_mask
+            correct = counter < 2
         if not correct:
             self.mispredictions += 1
-        counter = self._counters[idx]
-        self._counters[idx] = (min(3, counter + 1) if taken
-                               else max(0, counter - 1))
-        history_mask = (1 << self._history_bits) - 1
-        self._history = ((self._history << 1) | int(taken)) & history_mask
         return correct
 
     def peek_correct(self, pc: int, taken: bool) -> bool:

@@ -59,11 +59,6 @@ class Instruction:
         return self.spec.is_store
 
     @property
-    def is_mem(self) -> bool:
-        spec = self.spec
-        return spec.is_load or spec.is_store
-
-    @property
     def is_branch(self) -> bool:
         return self.spec.is_branch
 

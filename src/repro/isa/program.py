@@ -118,10 +118,6 @@ class Program:
             lines.append(f"{label}:")
         return "\n".join(lines)
 
-    def static_load_indices(self) -> List[int]:
-        """Indices of all static load instructions."""
-        return [i.index for i in self.instructions if i.is_load]
-
 
 def word_addr(index: int, base: int = 0) -> int:
     """Byte address of the ``index``-th word starting at byte ``base``."""

@@ -24,37 +24,39 @@ PR 7 OOO kernel (:mod:`repro.ooo.columnar`):
   (``asc_rep_gen``).  The ASC clock is globally monotone instead of
   per-pass — only the relative order within a set matters for the LRU
   victim, so the choice is identical.
-* **The hardware-restart rendezvous is a timing wheel + far-event
-  heap.**  The footnote-1 mechanism needs ``min`` over the pready
-  hints still in flight; the scalar loop scans all ``NUM_REGS`` pready
-  stamps per check.  Here every pready fill *event* is pushed once —
-  near fills (under :data:`WHEEL` cycles out) into a 64-slot wheel,
-  far fills (memory misses) into a heap — stamped with the pass epoch,
-  so a pass restart invalidates the whole calendar wholesale and stale
-  entries are discarded lazily at query time (generation-stamped
-  staleness, exactly the OOO kernel's squash discipline).  The
-  calendar is only maintained when ``hardware_restart`` is enabled;
-  the *hints* themselves stay in the epoch-stamped pready columns with
-  their deliberate clear-the-poison-keep-the-hint lifetime (see
-  ``MultipassCore``), which the restart-slot scan also consults.
-* **Gshare is inlined**, with the same batched predictor tallies as
-  the OOO kernel.  The memory system is reached only through its
+* **The hardware-restart rendezvous is the scalar loop's query.**  The
+  footnote-1 mechanism restarts a fruitless pass for the earliest
+  pready hint of this pass still in flight: the minimum
+  ``pready_val[r]`` over registers stamped with the current epoch whose
+  value lies in the future.  The kernel asks it as one C-level scan
+  over the two register columns (``compress``/``filter``/``min``) only
+  when the ablation is enabled and the pass qualifies.  The *hints*
+  stay in the epoch-stamped pready columns with their deliberate
+  clear-the-poison-keep-the-hint lifetime (see ``MultipassCore``),
+  which the RESTART-slot scan also consults.
+* **One path per mechanism.**  The advance merge and the rally merge
+  run in the per-slot loops, one cycle at a time; only the three idle
+  skips (an advance wait, an ``arch_stall_until`` stall and a pure
+  architectural stall) jump the clock, each capped by
+  ``BaseCore._frontend_clamp``.  The predictor is reached through its
+  public methods: a deferred advance branch calls ``predict``, a
+  resolved or nullified one ``update``, and an architectural branch
+  ``FrontEnd.resolve``, which trains the predictor and redirects fetch
+  on a mispredict.  The memory system is reached only through its
   public entry points, as in the OOO kernel: fetch is
-  ``FrontEnd.tick`` once a cycle, the bulk rally merge's replayed
-  cycles included, a mispredict calls ``FrontEnd.redirect``, and every
-  load and store calls ``hierarchy.access``.  ``tick`` counts the L1I
-  hits of resident code instead of probing them; a ``tick`` that
-  probed every line change through ``hierarchy.access`` read
-  cold-sweep 1.14x slower (EXPERIMENTS.md, "One memory path in the
-  kernels").
+  ``FrontEnd.tick`` once a cycle and every load and store calls
+  ``hierarchy.access``.  ``tick`` counts the L1I hits of resident code
+  instead of probing them; a ``tick`` that probed every line change
+  through ``hierarchy.access`` read cold-sweep 1.14x slower
+  (EXPERIMENTS.md, "One memory path in the kernels").
 
 Mode-machine equivalence: the kernel replicates the scalar loop
 cycle-for-cycle — fetch, rally entry at ``trigger_ready``, the advance
 slot loop (RS probe, RESTART, operand classification, port budgeting,
 defer/execute), the architectural/rally issue loop (merge, S-bit
-verification, in-order issue, branch resolve) — and its two
-fast-forward skips jump over pure-poll cycles the scalar loop steps one
-by one, replicating their poll counters, so every counter, the 4-way
+verification, in-order issue, branch resolve) — and its fast-forward
+skips jump over pure-poll cycles the scalar loop steps one by one,
+replicating their poll counters, so every counter, the 4-way
 stall breakdown and the retired stream are bit-identical.  The
 differential suite (``tests/property/test_columnar.py``), the idle-skip
 boundary sweeps and the golden matrix pin all of this against the
@@ -65,16 +67,15 @@ Recording: a core whose tracer is a
 kernel records the scalar loop's timeline exactly — fetch groups, issues
 (advance and architectural), commits, merges, restarts, misses, stall
 charges and mode changes — behind one ``rec`` flag fixed at entry; the
-skips and bulk paths record their replayed cycles as spans and groups.
+skips record their replayed cycles as stall spans.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from itertools import compress
 
 from ..isa.columns import columns_of
 from ..isa.opcodes import Opcode
-from ..pipeline.eventq import WHEEL, EventCalendar
 from ..pipeline.stats import SimStats, StallCategory
 from .asc import INVALID
 
@@ -109,10 +110,11 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     d_value = dec.value
     d_taken = dec.taken
     d_pc = dec.pc
-    port_code = core._port_code
+    cols = columns_of(dec)
+    port_code = cols.port_code
     # Advance-dispatch class (0 ALU/other, 1 nullified, 2 branch,
     # 3 store, 4 load), trace-static and shared across models.
-    d_kind = columns_of(dec).multipass_kind()
+    d_kind = cols.multipass_kind()
 
     config = core.config
     frontend = core.frontend
@@ -176,18 +178,15 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     # Timeline) and the hierarchy's own entry point.
     fetch = frontend.tick
     access = core.hierarchy.access
-
-    # Branch predictor state, inlined (two table reads and a history
-    # shift per update).
-    predictor = frontend.predictor
-    bp_counters = predictor._counters
-    bp_mask = predictor._mask
-    bp_hist_mask = (1 << predictor._history_bits) - 1
-    bp_history = predictor._history
-    n_bp = n_bp_wrong = 0
-    #: 2-bit counter transition tables (branchless saturating update).
-    BP_INC = (1, 2, 3, 3)
-    BP_DEC = (0, 0, 1, 2)
+    # The predictor is reached through its public methods: advance mode
+    # consults and trains it, and an architectural branch resolves
+    # through the front end, as in the scalar loop.
+    predict = frontend.predictor.predict
+    train = frontend.predictor.update
+    resolve = frontend.resolve
+    # The idle skips' front-end rule (fetch quiet, or I-stalled until a
+    # fill), shared with the in-order loop.
+    clamp = core._frontend_clamp
 
     # Result store, flattened into per-seq columns.  A seq's address
     # and store-ness are pure functions of the trace (``d_addr`` /
@@ -215,17 +214,6 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     asc_gen = 1
     asc_clock = 0
     n_asc_writes = n_asc_reads = n_asc_forwards = n_asc_repl = 0
-
-    # pready fill calendar for the hardware-restart rendezvous query
-    # (dormant unless the ablation is enabled — pushes are gated so the
-    # primary models pay nothing for it).  Entries are (cycle, reg,
-    # epoch) in both tiers — the rendezvous min-scans wheel slots out
-    # of drain order, so wheel entries carry their time explicitly.
-    # Staleness = epoch mismatch, hint cleared, or hint overwritten
-    # with a different fill time (see repro.pipeline.eventq).
-    cal = EventCalendar()
-    wheel = cal.wheel
-    heap = cal.heap
 
     # Mode machine state (0 = architectural, 1 = advance, 2 = rally).
     mode = 0
@@ -323,54 +311,6 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                 lim = arch_ptr + buffer_size
                 if lim < window_end:
                     window_end = lim
-                if (adv_ptr + width <= window_end and rs_live[adv_ptr]
-                        and not hardware_restart
-                        and (f_fetched >= n or f_fetched >= lim)):
-                    # Bulk pure-merge fast path: a restarted pass
-                    # re-walking preserved results merges exactly
-                    # ``width`` entries per cycle with no effect beyond
-                    # SRF refreshes.  With fetch quiescent (window
-                    # frozen) and no restart calendar to consult, whole
-                    # such cycles are replayed in one step; the first
-                    # partial cycle falls through to the slot loop.
-                    i = adv_ptr
-                    while (i < window_end and rs_live[i]
-                           and rs_ready[i] <= now):
-                        i += 1
-                    cycles = (i - adv_ptr) // width
-                    tmax = trigger_ready - now
-                    if cycles > tmax:
-                        cycles = tmax
-                    if cycles > 0:
-                        count = cycles * width
-                        n_iq_peeks += count
-                        n_rs_reads += count
-                        n_advance_merges += count
-                        cyc = now
-                        left = width
-                        for seq in range(adv_ptr, adv_ptr + count):
-                            for dest in d_dests[seq]:
-                                sp_state[dest] = sA
-                                srf_ready[dest] = cyc
-                            left -= 1
-                            if not left:
-                                left = width
-                                cyc += 1
-                        if rec:
-                            for k in range(count):
-                                seq = adv_ptr + k
-                                tl.rs_hit(now + k // width, seq, "advance")
-                            # Merges are not executions: every replayed
-                            # cycle is charged to the trigger load.
-                            tl_charge(now, LOAD, trigger_seq,
-                                      d_pc[trigger_seq], cycles)
-                        adv_ptr += count
-                        if adv_ptr > max_peek:
-                            max_peek = adv_ptr
-                        n_advance_cycles += cycles
-                        c_load += cycles
-                        now += cycles
-                        continue
                 slots = 0
                 if adv_ptr < window_end and width:
                     # The scalar loop re-arms wake=None at the top of
@@ -395,17 +335,6 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                                 sp_state[dest] = sI
                                 pready_stamp[dest] = epoch
                                 pready_val[dest] = r
-                                if hardware_restart:
-                                    if r - now < WHEEL:
-                                        slot = wheel[r & 63]
-                                        if slot:
-                                            slot[:] = [
-                                                e for e in slot
-                                                if e[2] == epoch
-                                                and e[0] > now]
-                                        slot.append((r, dest, epoch))
-                                    else:
-                                        heappush(heap, (r, dest, epoch))
                             adv_ptr = seq + 1
                             slots += 1
                             continue
@@ -510,9 +439,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             # Direction unknown: follow the prediction;
                             # a disagreement means the rest of the pass
                             # is down the wrong path.
-                            predicted = bp_counters[
-                                (d_pc[seq] ^ bp_history) & bp_mask] >= 2
-                            if predicted != d_taken[seq]:
+                            if predict(d_pc[seq]) != d_taken[seq]:
                                 pass_dead = True
                                 n_advance_wrong += 1
                         elif d_store[seq]:
@@ -604,14 +531,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                         if d_branch[seq]:
                             # Early resolve + train (nullified branches
                             # train not-taken).
-                            idx = (d_pc[seq] ^ bp_history) & bp_mask
-                            counter = bp_counters[idx]
-                            n_bp += 1
-                            bp_counters[idx] = BP_DEC[counter]
-                            bp_history = (bp_history << 1) & bp_hist_mask
                             n_advance_branches += 1
-                            if counter >= 2:
-                                n_bp_wrong += 1
+                            if not train(d_pc[seq], False):
                                 t = now + mispredict_penalty
                                 if t > adv_stall_until:
                                     adv_stall_until = t
@@ -621,22 +542,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                         # Resolve during preexecution: train early; a
                         # would-be mispredict charges the *advance*
                         # stream, and rally later merges with no flush.
-                        idx = (d_pc[seq] ^ bp_history) & bp_mask
-                        counter = bp_counters[idx]
-                        tk = d_taken[seq]
-                        n_bp += 1
-                        if tk:
-                            bp_counters[idx] = BP_INC[counter]
-                            bp_history = ((bp_history << 1) | 1) \
-                                & bp_hist_mask
-                            wrong = counter < 2
-                        else:
-                            bp_counters[idx] = BP_DEC[counter]
-                            bp_history = (bp_history << 1) & bp_hist_mask
-                            wrong = counter >= 2
                         n_advance_branches += 1
-                        if wrong:
-                            n_bp_wrong += 1
+                        if not train(d_pc[seq], d_taken[seq]):
                             t = now + mispredict_penalty
                             if t > adv_stall_until:
                                 adv_stall_until = t
@@ -740,19 +647,6 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                                     sp_state[dest] = sI
                                     pready_stamp[dest] = epoch
                                     pready_val[dest] = res_ready
-                                    if hardware_restart:
-                                        if res_ready - now < WHEEL:
-                                            slot = wheel[res_ready & 63]
-                                            if slot:
-                                                slot[:] = [
-                                                    e for e in slot
-                                                    if e[2] == epoch
-                                                    and e[0] > now]
-                                            slot.append(
-                                                (res_ready, dest, epoch))
-                                        else:
-                                            heappush(heap, (res_ready,
-                                                            dest, epoch))
                         adv_ptr = seq + 1
                     else:
                         # ALU / FP / mul-div / nop.
@@ -781,42 +675,18 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                 if hardware_restart and not pass_dead and not restarted:
                     # Footnote-1 mechanism: a fruitless pass restarts
                     # itself when there is an in-flight fill to
-                    # rendezvous with.  min-pending query over the
-                    # epoch-stamped fill calendar (wheel slots scanned
-                    # in arrival order, then the far heap).
+                    # rendezvous with -- the earliest pready hint of
+                    # this pass still in the future, as in the scalar
+                    # loop's scan.  One C-level pass over the two
+                    # register columns: a Python loop over them ran 22%
+                    # more opcodes on gap (EXPERIMENTS.md, "One
+                    # predictor path and one merge path").
                     processed = pass_execs + pass_defers
                     if processed >= hw_window and \
                             pass_execs < processed * hw_fraction:
-                        best = _INF
-                        for k in range(WHEEL):
-                            slot = wheel[(now + 1 + k) & 63]
-                            if not slot:
-                                continue
-                            found = False
-                            live = []
-                            for e in slot:
-                                if (e[2] == epoch and e[0] > now
-                                        and pready_stamp[e[1]] == epoch
-                                        and pready_val[e[1]] == e[0]):
-                                    live.append(e)
-                                    found = True
-                            slot[:] = live
-                            if found:
-                                # All live entries in one slot share a
-                                # fill cycle (unique residue in the
-                                # wheel horizon).
-                                best = live[0][0]
-                                break
-                        while heap:
-                            e = heap[0]
-                            if (e[2] != epoch or e[0] <= now
-                                    or pready_stamp[e[1]] != epoch
-                                    or pready_val[e[1]] != e[0]):
-                                heappop(heap)
-                                continue
-                            if e[0] < best:
-                                best = e[0]
-                            break
+                        best = min(filter(now.__lt__, compress(
+                            pready_val, map(epoch.__eq__, pready_stamp))),
+                            default=_INF)
                         if best < _INF:
                             pass_execs = 0
                             pass_defers = 0
@@ -858,18 +728,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                 # poll counters.
                 target = wake if wake < trigger_ready else trigger_ready
                 if target > now:
-                    limit = arch_ptr + buffer_size
-                    if limit > n:
-                        limit = n
-                    if f_fetched < limit:
-                        f_stall = frontend.stall_until
-                        if f_stall > now:
-                            skip_to = (target if target < f_stall
-                                       else f_stall)
-                        else:
-                            skip_to = now
-                    else:
-                        skip_to = target
+                    skip_to = clamp(now, target, arch_ptr)
                     if skip_to > now:
                         k = skip_to - now
                         c_load += k
@@ -888,75 +747,13 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                 tl_charge(now, OTHER)
             now += 1
             if arch_stall_until > now:
-                limit = arch_ptr + buffer_size
-                if limit > n:
-                    limit = n
-                if f_fetched < limit:
-                    f_stall = frontend.stall_until
-                    if f_stall > now:
-                        skip_to = (arch_stall_until
-                                   if arch_stall_until < f_stall
-                                   else f_stall)
-                    else:
-                        skip_to = now
-                else:
-                    skip_to = arch_stall_until
+                skip_to = clamp(now, arch_stall_until, arch_ptr)
                 if skip_to > now:
                     c_other += skip_to - now
                     if rec:
                         tl_charge(now, OTHER, cycles=skip_to - now)
                     now = skip_to
             continue
-
-        if (mode == 2 and enable_regroup
-                and arch_ptr + width <= max_peek and rs_live[arch_ptr]):
-            # Bulk rally-merge fast path: with dynamic regrouping, a
-            # run of preserved non-store, non-S-bit results merges
-            # exactly ``width`` per cycle (merges consume no ports) and
-            # touches only ``reg_ready``/``pending``.  Replay whole
-            # such cycles here — fetch still ticks once per cycle —
-            # and stop strictly before ``max_peek`` so the rally-exit
-            # check of the ordinary path below stays the one that
-            # fires.
-            i = arch_ptr
-            bound = max_peek - 1
-            while (i < bound and rs_live[i] and not rs_sbit[i]
-                   and rs_ready[i] <= now and not d_store[i]):
-                i += 1
-            cycles = (i - arch_ptr) // width
-            if cycles > 0:
-                aptr = arch_ptr
-                cyc = now
-                for ci in range(cycles):
-                    # Fetch at ``cyc``, as at the top of the main loop,
-                    # where the first batched cycle's fetch already ran.
-                    if ci:
-                        fetch(cyc, aptr)
-                    for seq in range(aptr, aptr + width):
-                        rs_live[seq] = 0
-                        if replay is not None:
-                            replay.commit(entries[seq])
-                        for dest in d_dests[seq]:
-                            reg_ready[dest] = cyc
-                            pending[dest] = 0
-                    if rec:
-                        for seq in range(aptr, aptr + width):
-                            tl.rs_hit(cyc, seq, "rally")
-                        tl.commit_many(cyc, range(aptr, aptr + width))
-                    aptr += width
-                    cyc += 1
-                count = cycles * width
-                n_iq_dequeues += count
-                n_rs_merges += count
-                n_rally_merges += count
-                n_instructions += count
-                arch_ptr = aptr
-                n_rally_cycles += cycles
-                c_exec += cycles
-                if rec:
-                    tl_charge(now, EXECUTION)
-                now = cyc
-                continue
 
         # ---- architectural / rally issue ------------------------------
         m_used = i_used = f_used = b_used = 0
@@ -1006,8 +803,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                         access(addr, now, kind="store")
                         mem_vals[addr] = d_value[seq]
                         n_smaq_reads += 1
-                    # A pre-resolved branch merges with no flush
-                    # (already_resolved: the front end moved on).
+                    # A branch resolved in advance mode merges with no
+                    # flush: it trained the predictor then.
                     issued += 1
                     aptr = seq + 1
                     if not dynamic_groups and d_stop[seq]:
@@ -1151,31 +948,16 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                 tl.issue(now, seq)
             issued += 1
             aptr = seq + 1
-            if d_branch[seq]:
-                # Inline frontend.resolve_branch: gshare.update, then a
-                # redirect + RS flush on a mispredict.
-                idx = (d_pc[seq] ^ bp_history) & bp_mask
-                counter = bp_counters[idx]
-                tk = d_taken[seq]
-                n_bp += 1
-                if tk:
-                    bp_counters[idx] = BP_INC[counter]
-                    bp_history = ((bp_history << 1) | 1) & bp_hist_mask
-                    wrong = counter < 2
-                else:
-                    bp_counters[idx] = BP_DEC[counter]
-                    bp_history = (bp_history << 1) & bp_hist_mask
-                    wrong = counter >= 2
-                if wrong:
-                    n_bp_wrong += 1
-                    frontend.redirect(seq + 1, now)
-                    n_mispredicts += 1
-                    if rs_hi > seq + 1:
-                        rs_live[seq + 1:rs_hi] = bytes(rs_hi - seq - 1)
-                        rs_hi = seq + 1
-                    if seq + 1 < max_peek:
-                        max_peek = seq + 1
-                    break
+            if d_branch[seq] and resolve(seq, d_pc[seq], d_taken[seq],
+                                         now):
+                # Mispredicted: fetch was redirected; flush the RS.
+                n_mispredicts += 1
+                if rs_hi > seq + 1:
+                    rs_live[seq + 1:rs_hi] = bytes(rs_hi - seq - 1)
+                    rs_hi = seq + 1
+                if seq + 1 < max_peek:
+                    max_peek = seq + 1
+                break
             if d_stop[seq] and not dynamic_groups:
                 break
         if rec and aptr > arch_ptr:
@@ -1236,17 +1018,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
             # A pure stall cycle: jump the clock, replicating the poll
             # counters and the per-cycle attribution.
             if wake > now:
-                limit = aptr + buffer_size
-                if limit > n:
-                    limit = n
-                if f_fetched < limit:
-                    f_stall = frontend.stall_until
-                    if f_stall > now:
-                        skip_to = wake if wake < f_stall else f_stall
-                    else:
-                        skip_to = now
-                else:
-                    skip_to = wake
+                skip_to = clamp(now, wake, aptr)
                 if now < skip_to < _INF:
                     k = skip_to - now
                     if front_end_stall:
@@ -1284,9 +1056,6 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     core._pass_execs = pass_execs
     core._pass_defers = pass_defers
     core._srf_epoch = epoch
-    predictor._history = bp_history
-    predictor.predictions += n_bp
-    predictor.mispredictions += n_bp_wrong
     rs = core.rs
     rs.writes += n_rs_writes
     rs.reads += n_rs_reads

@@ -37,8 +37,7 @@ from __future__ import annotations
 import enum
 from typing import Dict, Optional
 
-from ..isa.columns import columns_of
-from ..isa.opcodes import Opcode
+from ..isa.opcodes import FUClass, Opcode
 from ..isa.registers import NUM_REGS
 from ..isa.trace import Trace, TraceEntry
 from ..machine import MachineConfig
@@ -136,10 +135,10 @@ class MultipassCore(BaseCore):
         # Decoded-trace cache handle (shared read-only with other cores
         # replaying the same trace).
         self._dec = trace.decoded
-        # Small-int port class per seq for the inlined issue-port
-        # counters in both issue loops (shared column, built once per
-        # trace).
-        self._port_code = columns_of(self._dec).port_code
+        # One cycle's issue ports, for both issue loops.  It counts only
+        # the issues that claim a port, never more than the loop's
+        # slots, so its width test never binds before the loop's own.
+        self._tracker = config.ports.new_tracker()
 
     # ------------------------------------------------------------------
     # runtime invariants (the --check flag)
@@ -292,17 +291,13 @@ class MultipassCore(BaseCore):
         d_srcs = dec.srcs
         d_dests = dec.dests
         d_restart = dec.is_restart
+        d_ifu = dec.issue_fu
         entries = self.trace.entries
         counters = self.stats.counters
         rs_get = self.rs.get if self.persist_results else None
         tel = self.tracer
-        ports = self.config.ports
-        m_ports = ports.m_ports
-        i_ports = ports.i_ports
-        f_ports = ports.f_ports
-        b_ports = ports.b_ports
-        port_code = self._port_code
-        m_used = i_used = f_used = b_used = 0
+        tracker = self._tracker
+        tracker.reset()
         window_end = min(dec.n, self.frontend.fetched_until,
                          self.arch_ptr + self.buffer_size)
         epoch = self._srf_epoch
@@ -376,26 +371,10 @@ class MultipassCore(BaseCore):
                 continue
 
             # Valid operands: execute speculatively.
-            code = port_code[seq]
-            if code == 0:          # MEM
-                if m_used >= m_ports:
-                    break
-                m_used += 1
-            elif code == 1:        # ALU: I port with M fallback
-                if i_used < i_ports:
-                    i_used += 1
-                elif m_used < m_ports:
-                    m_used += 1
-                else:
-                    break
-            elif code == 2:        # FP / MULDIV
-                if f_used >= f_ports:
-                    break
-                f_used += 1
-            elif code == 3:        # BR
-                if b_used >= b_ports:
-                    break
-                b_used += 1
+            fu = d_ifu[seq]
+            if not tracker.can_issue(fu):
+                break
+            tracker.issue(fu)
             executed = self._execute_advance(entries[seq], now)
             new_execs += executed
             self._pass_execs += executed
@@ -628,8 +607,6 @@ class MultipassCore(BaseCore):
             self.hierarchy.access(rs_entry.addr, now, kind="store")
             self.mem_vals[rs_entry.addr] = entry.value
             self.stats.counters["smaq_reads"] += 1
-        if self._dec.is_branch[entry.seq]:
-            self.frontend.resolve_branch(entry, now, already_resolved=True)
 
     def _verify_speculative_load(self, entry: TraceEntry,
                                  rs_entry: RSEntry, now: int) -> bool:
@@ -704,6 +681,9 @@ class MultipassCore(BaseCore):
         d_addr = dec.addr
         d_value = dec.value
         d_branch = dec.is_branch
+        d_taken = dec.taken
+        d_pc = dec.pc
+        d_ifu = dec.issue_fu
         d_stop = dec.stop
         reg_ready = self.reg_ready
         pending = self.load_miss_pending
@@ -713,13 +693,8 @@ class MultipassCore(BaseCore):
         rs = self.rs
         rs_peek = rs.peek if self.persist_results else None
         enable_regroup = self.enable_regroup
-        ports = self.config.ports
-        width = ports.width
-        m_ports = ports.m_ports
-        i_ports = ports.i_ports
-        f_ports = ports.f_ports
-        b_ports = ports.b_ports
-        port_code = self._port_code
+        width = self.config.ports.width
+        tracker = self._tracker
         ADVANCE = Mode.ADVANCE
         ARCH = Mode.ARCHITECTURAL
         RALLY = Mode.RALLY
@@ -782,7 +757,7 @@ class MultipassCore(BaseCore):
 
             # ---- architectural / rally issue (inlined hot loop) ------
             fetched_until = frontend.fetched_until
-            m_used = i_used = f_used = b_used = 0
+            tracker.reset()
             issued = 0
             reason = None
             wait_until = now + 1
@@ -815,10 +790,11 @@ class MultipassCore(BaseCore):
                         if not dynamic_groups and d_stop[seq]:
                             break
                         continue
-                    if m_used >= m_ports:
+                    # S-bit verification re-performs the load on an M port.
+                    if not tracker.can_issue(FUClass.MEM):
                         reason = OTHER
                         break
-                    m_used += 1
+                    tracker.issue(FUClass.MEM)
                     self.arch_ptr = aptr
                     flushed = self._verify_speculative_load(entries[seq],
                                                             rs_entry, now)
@@ -832,24 +808,12 @@ class MultipassCore(BaseCore):
                         break
                     continue
 
-                # Normal in-order execution.
-                code = port_code[seq]
-                if code == 0:          # MEM
-                    if m_used >= m_ports:
-                        reason = OTHER
-                        break
-                elif code == 1:        # ALU: I port with M fallback
-                    if i_used >= i_ports and m_used >= m_ports:
-                        reason = OTHER
-                        break
-                elif code == 2:        # FP / MULDIV
-                    if f_used >= f_ports:
-                        reason = OTHER
-                        break
-                elif code == 3:        # BR
-                    if b_used >= b_ports:
-                        reason = OTHER
-                        break
+                # Normal in-order execution: the port is claimed only once
+                # the operands and destinations are known not to stall.
+                fu = d_ifu[seq]
+                if not tracker.can_issue(fu):
+                    reason = OTHER
+                    break
                 stall = 0
                 load_wait = False
                 for s in d_srcs[seq]:
@@ -905,17 +869,7 @@ class MultipassCore(BaseCore):
                     counters["waw_stalls"] += 1
                     break
 
-                if code == 0:
-                    m_used += 1
-                elif code == 1:
-                    if i_used < i_ports:
-                        i_used += 1
-                    else:
-                        m_used += 1
-                elif code == 2:
-                    f_used += 1
-                elif code == 3:
-                    b_used += 1
+                tracker.issue(fu)
                 for d in d_dests[seq]:
                     reg_ready[d] = done
                     pending[d] = done if l1_miss else 0
@@ -927,18 +881,18 @@ class MultipassCore(BaseCore):
                     replay.commit(entries[seq])
                 issued += 1
                 aptr = seq + 1
-                if d_branch[seq]:
-                    if frontend.resolve_branch(entries[seq], now):
-                        counters["mispredicts"] += 1
-                        rs.clear_from(seq + 1)
-                        if seq + 1 < self.max_peek:
-                            self.max_peek = seq + 1
-                        if check:
-                            self._invariant(
-                                rs.max_seq() <= seq,
-                                "RS retains entries younger than a "
-                                "mispredict flush", entries[seq])
-                        break
+                if d_branch[seq] and frontend.resolve(
+                        seq, d_pc[seq], d_taken[seq], now):
+                    counters["mispredicts"] += 1
+                    rs.clear_from(seq + 1)
+                    if seq + 1 < self.max_peek:
+                        self.max_peek = seq + 1
+                    if check:
+                        self._invariant(
+                            rs.max_seq() <= seq,
+                            "RS retains entries younger than a "
+                            "mispredict flush", entries[seq])
+                    break
                 if d_stop[seq] and not dynamic_groups:
                     break
             self.arch_ptr = aptr

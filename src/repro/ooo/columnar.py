@@ -6,7 +6,7 @@ Drop-in replacement for the scalar cycle loop in
 behind one ``rec`` flag fixed at entry):
 same machine, same statistics, bit-identical cycle counts and stall
 attribution, but the per-cycle *work* is restructured around
-preallocated flat columns and a shared event calendar
+preallocated flat columns and an event calendar
 (:mod:`repro.pipeline.eventq`) instead of polling the scheduling
 window:
 
@@ -84,14 +84,16 @@ Equivalence invariants (the bit-identity contract, see
   port counters are sampled once per cycle before the issue scan,
   matching the scalar scan's fixed candidate slice.
 
-The kernel reaches the memory system only through its public entry
-points, as the scalar loop does.  Fetch is ``FrontEnd.tick`` once a
-cycle, a mispredict calls ``FrontEnd.redirect``, and every load and
-store calls ``hierarchy.access``.  On resident code (every static code
-line in the L1I after the pre-warm) ``tick`` counts its L1I hits
-instead of probing; a ``tick`` that probed every line change through
-``hierarchy.access`` read cold-sweep 1.14x slower (EXPERIMENTS.md,
-"One memory path in the kernels").
+The kernel reaches the memory system and the branch predictor only
+through their public entry points, as the scalar loop does.  Fetch is
+``FrontEnd.tick`` once a cycle, an issued branch calls
+``FrontEnd.resolve`` (which trains the predictor and, on a mispredict,
+redirects fetch), and every load and store calls ``hierarchy.access``.
+On resident code (every static code line in the L1I after the
+pre-warm) ``tick`` counts its L1I hits instead of probing; a ``tick``
+that probed every line change through ``hierarchy.access`` read
+cold-sweep 1.14x slower (EXPERIMENTS.md, "One memory path in the
+kernels").
 
 The differential suites (``tests/property/test_columnar.py``,
 ``tests/property/test_fast_path.py``) and the golden matrix pin all of
@@ -138,6 +140,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     d_addr = dec.addr
     d_branch = dec.is_branch
     d_taken = dec.taken
+    d_pc = dec.pc
 
     config = core.config
     frontend = core.frontend
@@ -152,6 +155,9 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     # Timeline) and the hierarchy's own entry point.
     fetch = frontend.tick
     access = core.hierarchy.access
+    # Branches train the predictor and redirect fetch through the front
+    # end, as in the scalar loop.
+    resolve = frontend.resolve
     wakeup_delay = core.wakeup_delay
     ports = config.ports
     m_ports = ports.m_ports
@@ -184,19 +190,6 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     has_queues = queue_cap is not None
     queue_fill = [0, 0, 0]
 
-    # Branch predictor state, inlined (gshare.update is two table reads
-    # and a history shift -- not worth a call per branch).
-    predictor = frontend.predictor
-    bp_counters = predictor._counters
-    bp_mask = predictor._mask
-    bp_hist_mask = (1 << predictor._history_bits) - 1
-    bp_history = predictor._history
-    n_branches = n_bp_wrong = 0
-    d_pc = dec.pc
-    #: 2-bit counter transition tables (branchless saturating update).
-    BP_INC = (1, 2, 3, 3)
-    BP_DEC = (0, 0, 1, 2)
-
     # Flat per-seq state (current incarnation).
     value_ready = [0] * n        # visibility cycle; 0 = not issued
     ready_cycle = [0] * n        # completion (commit-eligibility) cycle
@@ -227,7 +220,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     # deque on almost every cycle.
     rdy = []
     hr = 0
-    # Producer-visibility events on the shared calendar: near events in
+    # Producer-visibility events on the event calendar: near events in
     # the 64-slot wheel as bare seqs drained exactly at their cycle, far
     # events (memory misses) heap-ordered as (cycle, seq).  An entry
     # drained at cycle ``now`` is live only if ``value_ready[p] == now``.
@@ -452,27 +445,12 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                 if has_queues:
                     queue_fill[queue_code[seq]] -= 1
                 issued += 1
-                if d_branch[seq]:
-                    # Inline gshare.update; a mispredict redirects fetch.
-                    idx = (d_pc[seq] ^ bp_history) & bp_mask
-                    counter = bp_counters[idx]
-                    taken = d_taken[seq]
-                    n_branches += 1
-                    if taken:
-                        bp_counters[idx] = BP_INC[counter]
-                        bp_history = ((bp_history << 1) | 1) \
-                            & bp_hist_mask
-                        wrong = counter < 2
-                    else:
-                        bp_counters[idx] = BP_DEC[counter]
-                        bp_history = (bp_history << 1) & bp_hist_mask
-                        wrong = counter >= 2
-                    if wrong:
-                        n_bp_wrong += 1
-                        frontend.redirect(seq + 1, now)
-                        n_mispredicts += 1
-                        squash_after = seq
-                        break
+                if d_branch[seq] and resolve(seq, d_pc[seq], d_taken[seq],
+                                             now):
+                    # Mispredicted: fetch was redirected past the branch.
+                    n_mispredicts += 1
+                    squash_after = seq
+                    break
                 if issued >= width:
                     break
             if rec and issued:
@@ -648,9 +626,6 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                     tl_charge(now, cause, h, d_pc[h], skip_to - now)
                 now = skip_to
 
-    predictor._history = bp_history
-    predictor.predictions += n_branches
-    predictor.mispredictions += n_bp_wrong
     stats.instructions += n_commits
     if n_loads:
         counters["loads_issued"] += n_loads

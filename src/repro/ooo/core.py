@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import List, Optional
 
-from ..isa.columns import columns_of
 from ..isa.opcodes import FUClass
 from ..isa.registers import NUM_REGS
 from ..isa.trace import Trace, TraceEntry
@@ -128,6 +127,7 @@ class OutOfOrderCore(BaseCore):
         d_load = dec.is_load
         d_addr = dec.addr
         d_branch = dec.is_branch
+        d_taken = dec.taken
         d_pc = dec.pc
         config = self.config
         frontend = self.frontend
@@ -139,15 +139,9 @@ class OutOfOrderCore(BaseCore):
         access = self.hierarchy.access
         wakeup_delay = self.wakeup_delay
         merge_dests = not self.ideal
-        # Issue-port capacity inlined as plain counters (the PortTracker
-        # ask-then-commit pair is two calls per issued instruction); the
-        # width bound is enforced by the ``issued >= width`` break.
-        ports = config.ports
-        m_ports = ports.m_ports
-        i_ports = ports.i_ports
-        f_ports = ports.f_ports
-        b_ports = ports.b_ports
-        port_code = columns_of(dec).port_code  # shared column
+        # Issue ports: the scan below breaks at ``issued >= width``, so
+        # only the tracker's per-class budgets ever refuse an issue.
+        tracker = self._tracker
         EXECUTION = StallCategory.EXECUTION
         FRONT_END = StallCategory.FRONT_END
         LOAD = StallCategory.LOAD
@@ -246,7 +240,7 @@ class OutOfOrderCore(BaseCore):
                 limit = window
             if scanned < limit:
                 full_scan = scanned == 0
-                m_used = i_used = f_used = b_used = 0
+                tracker.reset()
                 retry_min = _INF
                 while scanned < limit:
                     rob_entry = waiting[scanned]
@@ -270,26 +264,10 @@ class OutOfOrderCore(BaseCore):
                             break
                     if rob_entry.blocked_on is not None:
                         continue
-                    code = port_code[seq]
-                    if code == 0:          # MEM
-                        if m_used >= m_ports:
-                            continue
-                        m_used += 1
-                    elif code == 1:        # ALU: I port, M fallback
-                        if i_used < i_ports:
-                            i_used += 1
-                        elif m_used < m_ports:
-                            m_used += 1
-                        else:
-                            continue
-                    elif code == 2:        # FP / MULDIV
-                        if f_used >= f_ports:
-                            continue
-                        f_used += 1
-                    elif code == 3:        # BR
-                        if b_used >= b_ports:
-                            continue
-                        b_used += 1
+                    fu = d_ifu[seq]
+                    if not tracker.can_issue(fu):
+                        continue
+                    tracker.issue(fu)
                     latency = d_lat[seq]
                     rob_entry.is_load_wait = False
                     if d_mem[seq]:
@@ -313,11 +291,11 @@ class OutOfOrderCore(BaseCore):
                     if queue_cap is not None:
                         queue_fill[queue_of[d_ifu[seq]]] -= 1
                     issued += 1
-                    if d_branch[seq]:
-                        if frontend.resolve_branch(rob_entry.entry, now):
-                            counters["mispredicts"] += 1
-                            squash_after = seq
-                            break
+                    if d_branch[seq] and frontend.resolve(
+                            seq, d_pc[seq], d_taken[seq], now):
+                        counters["mispredicts"] += 1
+                        squash_after = seq
+                        break
                     if issued >= width:
                         break
                 if issued:

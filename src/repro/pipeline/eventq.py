@@ -1,8 +1,7 @@
-"""Shared event calendar: 64-slot timing wheel + far-event heap.
+"""Event calendar: 64-slot timing wheel + far-event heap.
 
-Both columnar timing kernels (:mod:`repro.ooo.columnar` and
-:mod:`repro.multipass.columnar`) schedule future wake-ups on the same
-two-tier calendar:
+The OOO columnar kernel (:mod:`repro.ooo.columnar`) schedules its
+producer-visibility wake-ups on this two-tier calendar:
 
 * events due within :data:`WHEEL` cycles go to a slot of a 64-entry
   timing wheel — appended in O(1), drained exactly at their cycle by
@@ -11,31 +10,29 @@ two-tier calendar:
   due cycle, popped as they come due.
 
 The calendar stores caller-shaped entries and never inspects them beyond
-the heap ordering, so one contract serves both kernels:
+the heap ordering:
 
 * **Far entries are due-cycle-first.**  A heap entry must compare by
   its due cycle, i.e. ``entry[0] == time``.  Wheel entries need no time
-  field when the caller drains slots cycle-by-cycle (the slot index IS
-  the time): the OOO kernel stores bare seqs, and ``(cycle, seq)`` on
-  the heap.  A caller that min-scans slots out of drain order (the
-  multipass hardware-restart rendezvous) stores the time explicitly.
+  field because the caller drains slots cycle-by-cycle (the slot index
+  IS the time): the OOO kernel stores bare seqs in the wheel, and
+  ``(cycle, seq)`` on the heap.
 * **Staleness is the caller's stamp, checked at drain.**  Nothing is
-  ever removed from the calendar eagerly.  A caller discards an entry
-  whose stamp no longer matches when it surfaces.  The OOO kernel's
-  stamp is the producer's visibility cycle: an entry drained at cycle
-  ``t`` is live only if ``value_ready[seq] == t``, which a squash
-  resets.  The multipass kernel stores its pass epoch in the entry at
-  insertion.  This is what makes wheel slots safe across 64-cycle
+  ever removed from the calendar eagerly.  The caller discards an
+  entry whose stamp no longer matches when it surfaces.  The OOO
+  kernel's stamp is the producer's visibility cycle: an entry drained
+  at cycle ``t`` is live only if ``value_ready[seq] == t``, which a
+  squash resets.  This is what makes wheel slots safe across 64-cycle
   wraps and idle fast-forward spans: a *live* entry is always drained
   exactly at its due cycle (every entry is inserted less than
   :data:`WHEEL` cycles before it fires, so the first visit of its slot
-  after insertion is its own cycle, and the kernels' quiescence skips
-  never jump a live event — the wake horizon that caps a skip is
+  after insertion is its own cycle, and the kernel's quiescence skip
+  never jumps a live event — the wake horizon that caps a skip is
   itself derived from the in-flight completions that feed the
   calendar); only *stale* entries can be jumped, and their stamp
   discards them whenever they next surface.
-* **Hot loops inline.**  The kernels localize :attr:`wheel` and
-  :attr:`heap` and open-code :meth:`schedule` / the drain loop — at a
+* **The hot loop inlines.**  The kernel localizes :attr:`wheel` and
+  :attr:`heap` and open-codes :meth:`schedule` / the drain loop — at a
   few million events per second a method call per event is measurable.
   The methods here are the readable specification of those idioms (and
   the surface the unit tests pin); the localized loops must stay
@@ -57,7 +54,7 @@ WHEEL_MASK = WHEEL - 1
 
 
 class EventCalendar:
-    """One timing wheel + far heap, as used by both columnar kernels."""
+    """One timing wheel + far heap, as used by the OOO columnar kernel."""
 
     __slots__ = ("wheel", "heap")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..branch.gshare import GsharePredictor
 from ..isa.columns import columns_of
-from ..isa.trace import Trace, TraceEntry
+from ..isa.trace import Trace
 from ..machine import MachineConfig
 from ..memory.hierarchy import MemoryHierarchy
 
@@ -144,28 +144,16 @@ class FrontEnd:
         self.fetched_until = fu
         return fu
 
-    def resolve_branch(self, entry: TraceEntry, now: int,
-                       already_resolved: bool = False) -> bool:
-        """Resolve a branch at execute; returns True on a mispredict.
-
-        Args:
-            entry: the branch trace entry.
-            now: current cycle (redirect penalty charged from here).
-            already_resolved: the branch was validly pre-executed earlier
-                (multipass advance mode) so the front end has already been
-                redirected — no flush and no predictor update now.
-
-        A predicate-nullified branch still trains the predictor (fetch
-        predicts before the qualifying predicate is known): its outcome is
-        not-taken.
-        """
-        if already_resolved:
-            return False
-        return self.resolve(entry.seq, entry.inst.index, entry.taken, now)
-
     def resolve(self, seq: int, pc: int, taken: bool, now: int) -> bool:
-        """:meth:`resolve_branch` from the trace columns: the branch at
-        ``seq`` (static index ``pc``) resolved ``taken``."""
+        """Resolve the branch at ``seq`` (static index ``pc``) at execute.
+
+        Trains the predictor with the outcome ``taken`` and, on a
+        mispredict, redirects fetch to just past the branch with the
+        refill penalty charged from ``now``.  Returns True on a
+        mispredict.  A predicate-nullified branch still trains the
+        predictor (fetch predicts before the qualifying predicate is
+        known): its outcome is not-taken.
+        """
         correct = self.predictor.update(pc, taken)
         if not correct:
             self.redirect(seq + 1, now)

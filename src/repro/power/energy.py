@@ -57,10 +57,6 @@ class ExecutionEnergy:
     redundancy: float
     by_class: Dict[FUClass, float] = field(default_factory=dict)
 
-    @property
-    def energy_nj(self) -> float:
-        return self.energy_joules * 1e9
-
 
 def _class_mix(trace: Trace) -> Dict[FUClass, float]:
     """Fraction of dynamic instructions per FU class."""

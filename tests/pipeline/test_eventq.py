@@ -1,9 +1,9 @@
-"""Unit and property tests for the shared event calendar (and the
+"""Unit and property tests for the event calendar (and the
 issue-select discipline built on top of it).
 
 :mod:`repro.pipeline.eventq` is the readable specification of the
-wheel/heap idioms both columnar kernels open-code; these tests pin the
-contract the kernels rely on:
+wheel/heap idioms the OOO columnar kernel open-codes; these tests pin
+the contract the kernel relies on:
 
 * a near event drains exactly at its due cycle, including across
   64-cycle wheel wraps;

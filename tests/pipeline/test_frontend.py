@@ -134,15 +134,8 @@ class TestFrontEnd:
         fe = make_frontend(trace)
         branch = next(e for e in trace.entries if e.is_branch)
         for _ in range(8):
-            fe.resolve_branch(branch, now=0)
+            fe.resolve(branch.seq, branch.inst.index, branch.taken, now=0)
         assert fe.predictor.predict(branch.inst.index) is False
-
-    def test_already_resolved_branch_is_free(self):
-        trace = straight_line_trace()
-        fe = make_frontend(trace)
-        entry = trace.entries[0]
-        assert fe.resolve_branch(entry, 0, already_resolved=True) is False
-        assert fe.predictor.predictions == 0
 
 
 class TestMachineConfig:
