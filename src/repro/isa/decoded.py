@@ -44,8 +44,7 @@ class DecodedTrace:
     Attributes (all lists of length ``n``, shared read-only):
         fu: static :class:`FUClass` of the instruction.
         issue_fu: FU class the entry *occupies* at issue —
-            :data:`FUClass.NONE` when predicate-nullified (mirrors
-            :meth:`~repro.pipeline.base.BaseCore.issue_fu`).
+            :data:`FUClass.NONE` when predicate-nullified.
         srcs / dests: the dynamic register id tuples of the entry.
         static_dests: the instruction's static destination tuple (used
             by the non-ideal OOO rename path for predicated writes).
@@ -144,8 +143,3 @@ class DecodedTrace:
 def _gather(table: list, index: list) -> list:
     """``[table[i] for i in index]``, without a Python-level loop."""
     return list(map(table.__getitem__, index))
-
-
-def decode(trace: "Trace") -> DecodedTrace:
-    """Return (building on first use) the decoded cache for ``trace``."""
-    return trace.decoded

@@ -7,23 +7,17 @@ bit-identical cycle counts and stall attribution, but the per-cycle
 *work* is restructured around preallocated flat columns, following the
 PR 7 OOO kernel (:mod:`repro.ooo.columnar`):
 
-* **The result store is a set of flat per-seq columns** (``rs_live`` /
-  ``rs_ready`` / ``rs_value`` / ``rs_addr`` / ``rs_sbit`` /
-  ``rs_store``) instead of a dict of ``RSEntry`` objects.  A flush
-  (``clear_from``) is one ``bytearray`` slice wipe of the live bits and
-  a clamp of the high-water mark ``rs_hi``; ``max_seq()`` is a lazy
-  downward tightening of ``rs_hi`` past dead tops.  Counter semantics
-  are preserved exactly: a *write* per put, a *read* only when the
-  advance stream's probe finds a live entry, a *merge* per pop.
-* **Pass resets are generation bumps.**  The SRF/poison/pready columns
-  already use the core's epoch stamps (one ``epoch += 1`` per reset,
-  PR 7); the advance store cache joins them here: per-set dicts carry a
-  generation stamp (``asc_set_gen``) and a stale set is lazily purged
-  on first touch, so ``asc.clear()`` becomes a single ``asc_gen += 1``
-  that also invalidates the per-set *replaced* flags
-  (``asc_rep_gen``).  The ASC clock is globally monotone instead of
-  per-pass — only the relative order within a set matters for the LRU
-  victim, so the choice is identical.
+* **One result store and one advance store cache.**  The kernel uses
+  the core's own :class:`~repro.multipass.result_store.ResultStore`
+  and :class:`~repro.multipass.asc.AdvanceStoreCache`, as the scalar
+  loop does.  It probes the store's per-seq columns (``live``,
+  ``ready``, ``sbit``, ``value``) directly, about two probes per
+  instruction, and writes only through the methods: ``put``, ``read``
+  on an advance reuse, ``pop`` on a rally merge or S-bit verification,
+  ``clear_from`` on a flush and ``max_seq`` at rally exit.  Each
+  method keeps its own counter.  A pass reset is an epoch bump on the
+  SRF/poison/pready columns plus ``asc.clear()``, itself one
+  generation bump.
 * **The hardware-restart rendezvous is the scalar loop's query.**  The
   footnote-1 mechanism restarts a fruitless pass for the earliest
   pready hint of this pass still in flight: the minimum
@@ -77,7 +71,7 @@ from itertools import compress
 from ..isa.columns import columns_of
 from ..isa.opcodes import Opcode
 from ..pipeline.stats import SimStats, StallCategory
-from .asc import INVALID
+from .asc import HIT, HIT_INVALID, INVALID, MISS_SPECULATIVE
 
 #: "No internal event": a fast-forward hint meaning the issue logic found
 #: nothing that could change on its own — the skip is bounded only by the
@@ -104,7 +98,6 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     d_store = dec.is_store
     d_branch = dec.is_branch
     d_restart = dec.is_restart
-    d_executed = dec.executed
     d_stop = dec.stop
     d_addr = dec.addr
     d_value = dec.value
@@ -188,32 +181,21 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     # fill), shared with the in-order loop.
     clamp = core._frontend_clamp
 
-    # Result store, flattened into per-seq columns.  A seq's address
-    # and store-ness are pure functions of the trace (``d_addr`` /
-    # ``d_store``), so they are never stored; ``rs_sbit`` is only ever
-    # written by load puts (a seq's kind is fixed), so non-load entries
-    # read a pristine 0 and no flush has to wipe it; ``rs_value`` is
-    # only read under ``rs_sbit``, so only data-speculative puts write
-    # it.  Counter semantics match ``ResultStore`` exactly.
-    rs_live = bytearray(n)
-    rs_ready = [0] * n
-    rs_value: list = [None] * n
-    rs_sbit = bytearray(n)
-    rs_hi = 0                      # exclusive live high-water mark
-    n_rs_writes = n_rs_reads = n_rs_merges = 0
-
-    # Advance store cache, flattened: per-set dicts with generation
-    # stamps; ``clear()`` is one ``asc_gen`` bump.
+    # The core's result store and advance store cache, shared with the
+    # scalar loop.  The probes read the store's columns; every write
+    # goes through a method, which keeps the structure's counters.
+    rs = core.rs
+    rs_live = rs.live
+    rs_ready = rs.ready
+    rs_sbit = rs.sbit
+    rs_value = rs.value
+    rs_put = rs.put
+    rs_read = rs.read
+    rs_pop = rs.pop
     asc = core.asc
-    asc_assoc = asc.assoc
-    asc_nsets = asc.num_sets
-    asc_word = asc.word_size
-    asc_sets: list = [{} for _ in range(asc_nsets)]
-    asc_set_gen = [0] * asc_nsets
-    asc_rep_gen = [0] * asc_nsets
-    asc_gen = 1
-    asc_clock = 0
-    n_asc_writes = n_asc_reads = n_asc_forwards = n_asc_repl = 0
+    asc_clear = asc.clear
+    asc_read = asc.read
+    asc_write = asc.write
 
     # Mode machine state (0 = architectural, 1 = advance, 2 = rally).
     mode = 0
@@ -243,7 +225,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     n_unknown_stores = n_advance_execs = 0
     n_advance_branches = n_advance_redirects = 0
     n_advance_loads = n_sbit_loads = n_advance_load_misses = 0
-    n_advance_stores = 0
+    n_advance_stores = n_asc_forwards = 0
     n_rally_merges = n_smaq_reads = n_sbit_verifications = 0
     n_value_flushes = n_mispredicts = 0
     n_loads = n_load_misses = 0
@@ -279,7 +261,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
             epoch += 1
             sA += 4
             sI += 4
-            asc_gen += 1
+            asc_clear()
             unknown_store = False
             pass_dead = False
             if rally_refill:
@@ -325,8 +307,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                     # Only persistent models ever set a live bit, so the
                     # probe needs no ``persist`` guard.
                     if rs_live[seq]:
-                        n_rs_reads += 1
-                        r = rs_ready[seq]
+                        r = rs_read(seq)
                         if r > now:
                             # Result (typically a missing load from an
                             # earlier pass) still in flight: consumers
@@ -382,14 +363,9 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             epoch += 1
                             sA += 4
                             sI += 4
-                            asc_gen += 1
+                            asc_clear()
                             unknown_store = False
                             pass_dead = False
-                            # Bump the lazy RS high-water before the
-                            # rewind: puts earlier this cycle sit below
-                            # the pre-rewind adv_ptr.
-                            if persist and adv_ptr > rs_hi:
-                                rs_hi = adv_ptr
                             adv_ptr = trigger_seq
                             refill = now + advance_restart_refill
                             if hint >= 0:
@@ -464,24 +440,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                                              and pending[data_reg]
                                              > now)))
                                 if data_inv:
-                                    # ASC write of the INVALID marker.
-                                    n_asc_writes += 1
-                                    asc_clock += 1
-                                    addr = d_addr[seq]
-                                    si = (addr // asc_word) % asc_nsets
-                                    if asc_set_gen[si] != asc_gen:
-                                        asc_sets[si].clear()
-                                        asc_set_gen[si] = asc_gen
-                                    aset = asc_sets[si]
-                                    if addr not in aset and \
-                                            len(aset) >= asc_assoc:
-                                        victim = min(
-                                            aset,
-                                            key=lambda a: aset[a][1])
-                                        del aset[victim]
-                                        asc_rep_gen[si] = asc_gen
-                                        n_asc_repl += 1
-                                    aset[addr] = (INVALID, asc_clock)
+                                    asc_write(d_addr[seq], INVALID)
                         adv_ptr = seq + 1
                         pass_defers += 1
                         slots += 1
@@ -525,9 +484,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                     if k == 1:
                         # Predicate-nullified: flows through.
                         if persist:
-                            n_rs_writes += 1
-                            rs_live[seq] = 1
-                            rs_ready[seq] = now + 1
+                            rs_put(seq, now + 1)
                         if d_branch[seq]:
                             # Early resolve + train (nullified branches
                             # train not-taken).
@@ -549,48 +506,19 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                                 adv_stall_until = t
                             n_advance_redirects += 1
                         if persist:
-                            n_rs_writes += 1
-                            rs_live[seq] = 1
-                            rs_ready[seq] = now + 1
+                            rs_put(seq, now + 1)
                         adv_ptr = seq + 1
                     elif k == 3:
-                        # ASC write of the store data.
-                        n_asc_writes += 1
-                        asc_clock += 1
-                        addr = d_addr[seq]
-                        si = (addr // asc_word) % asc_nsets
-                        if asc_set_gen[si] != asc_gen:
-                            asc_sets[si].clear()
-                            asc_set_gen[si] = asc_gen
-                        aset = asc_sets[si]
-                        if addr not in aset and len(aset) >= asc_assoc:
-                            victim = min(aset, key=lambda a: aset[a][1])
-                            del aset[victim]
-                            asc_rep_gen[si] = asc_gen
-                            n_asc_repl += 1
-                        aset[addr] = (d_value[seq], asc_clock)
+                        asc_write(d_addr[seq], d_value[seq])
                         n_advance_stores += 1
                         if persist:
-                            n_rs_writes += 1
-                            rs_live[seq] = 1
-                            rs_ready[seq] = now + 1
+                            rs_put(seq, now + 1)
                         adv_ptr = seq + 1
                     elif k == 4:
                         # Advance load: ASC forwarding, prefetch, the
                         # Section 3.5 WAW rule and S-bits.
                         addr = d_addr[seq]
-                        n_asc_reads += 1
-                        si = (addr // asc_word) % asc_nsets
-                        if asc_set_gen[si] == asc_gen:
-                            e = asc_sets[si].get(addr)
-                        else:
-                            e = None
-                        if e is not None:
-                            outcome = 2 if e[0] is INVALID else 1
-                        elif asc_rep_gen[si] == asc_gen:
-                            outcome = 3        # miss-speculative
-                        else:
-                            outcome = 0        # miss
+                        outcome = asc_read(addr)[0]
                         # Prefetch effect.
                         result = access(addr, now)
                         l1_miss = result.l1_miss
@@ -598,22 +526,19 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                         if rec and l1_miss:
                             tl_miss(now, seq, result.level)
                         n_advance_loads += 1
-                        if outcome == 1:       # ASC hit: forward
+                        if outcome == HIT:     # ASC hit: forward
                             for dest in d_dests[seq]:
                                 sp_state[dest] = sA
                                 srf_ready[dest] = now + 1
                                 pready_stamp[dest] = 0
                             if persist:
-                                n_rs_writes += 1
-                                rs_live[seq] = 1
-                                rs_ready[seq] = now + 1
-                                rs_sbit[seq] = 0
+                                rs_put(seq, now + 1, 0, d_value[seq])
                             n_asc_forwards += 1
-                        elif outcome == 2:     # hit-invalid: suppress
+                        elif outcome == HIT_INVALID:   # suppress
                             for dest in d_dests[seq]:
                                 sp_state[dest] = sI
                         else:
-                            if unknown_store or outcome == 3:
+                            if unknown_store or outcome == MISS_SPECULATIVE:
                                 data_spec = 1
                                 observed = mem_vals.get(addr, 0)
                                 n_sbit_loads += 1
@@ -621,11 +546,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                                 data_spec = 0
                                 observed = d_value[seq]
                             if persist:
-                                n_rs_writes += 1
-                                rs_live[seq] = 1
-                                rs_ready[seq] = res_ready
-                                rs_value[seq] = observed
-                                rs_sbit[seq] = data_spec
+                                rs_put(seq, res_ready, data_spec, observed)
                             if not l1_miss:
                                 for dest in d_dests[seq]:
                                     sp_state[dest] = sA
@@ -658,19 +579,11 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             pready_stamp[dest] = 0
                         if persist and (dests or insts[d_pc[seq]].opcode
                                         is NOP):
-                            n_rs_writes += 1
-                            rs_live[seq] = 1
-                            rs_ready[seq] = now + latency
+                            rs_put(seq, now + latency)
                         adv_ptr = seq + 1
                     new_execs += 1
                     pass_execs += 1
                     slots += 1
-
-                # RS puts above track the high-water lazily: every put
-                # seq is < adv_ptr by loop end, so one bump keeps rs_hi
-                # a valid upper bound (reads only tighten downward).
-                if persist and adv_ptr > rs_hi:
-                    rs_hi = adv_ptr
 
                 if hardware_restart and not pass_dead and not restarted:
                     # Footnote-1 mechanism: a fruitless pass restarts
@@ -693,7 +606,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             epoch += 1
                             sA += 4
                             sI += 4
-                            asc_gen += 1
+                            asc_clear()
                             unknown_store = False
                             pass_dead = False
                             adv_ptr = trigger_seq
@@ -785,8 +698,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                     break
                 if not rs_sbit[seq]:
                     # Merge the preserved result (no re-execution).
-                    rs_live[seq] = 0
-                    n_rs_merges += 1
+                    rs_pop(seq)
                     n_rally_merges += 1
                     n_instructions += 1
                     if replay is not None:
@@ -814,8 +726,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                     break
                 m_used += 1
                 # S-bit verification: re-perform the load and compare.
-                rs_live[seq] = 0
-                n_rs_merges += 1
+                rs_pop(seq)
                 n_sbit_verifications += 1
                 n_smaq_reads += 1
                 result = access(d_addr[seq], now)
@@ -835,9 +746,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                 if rs_value[seq] != d_value[seq]:
                     # Mismatch: squash everything younger, re-execute.
                     n_value_flushes += 1
-                    if rs_hi > seq + 1:
-                        rs_live[seq + 1:rs_hi] = bytes(rs_hi - seq - 1)
-                        rs_hi = seq + 1
+                    rs.clear_from(seq + 1)
                     if seq + 1 < max_peek:
                         max_peek = seq + 1
                     arch_stall_until = now + flush_penalty
@@ -952,9 +861,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                                          now):
                 # Mispredicted: fetch was redirected; flush the RS.
                 n_mispredicts += 1
-                if rs_hi > seq + 1:
-                    rs_live[seq + 1:rs_hi] = bytes(rs_hi - seq - 1)
-                    rs_hi = seq + 1
+                rs.clear_from(seq + 1)
                 if seq + 1 < max_peek:
                     max_peek = seq + 1
                 break
@@ -969,13 +876,9 @@ def run_columnar(core, max_cycles: int) -> SimStats:
         in_rally = mode == 2
         if in_rally:
             n_rally_cycles += 1
-            if aptr >= max_peek:
-                # Tighten the lazy high-water past dead tops in one C
-                # scan (rfind of the last live byte).
-                rs_hi = rs_live.rfind(1, 0, rs_hi) + 1
-                if rs_hi <= aptr:     # rs.max_seq() < aptr
-                    mode = 0
-                    in_rally = False
+            if aptr >= max_peek and rs.max_seq() < aptr:
+                mode = 0
+                in_rally = False
 
         front_end_stall = aptr >= f_fetched
         if issued:
@@ -1010,7 +913,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
             epoch += 1
             sA += 4
             sI += 4
-            asc_gen += 1
+            asc_clear()
             unknown_store = False
             pass_dead = False
             n_advance_entries += 1
@@ -1056,14 +959,6 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     core._pass_execs = pass_execs
     core._pass_defers = pass_defers
     core._srf_epoch = epoch
-    rs = core.rs
-    rs.writes += n_rs_writes
-    rs.reads += n_rs_reads
-    rs.merges += n_rs_merges
-    asc.writes += n_asc_writes
-    asc.reads += n_asc_reads
-    asc.forwards += n_asc_forwards
-    asc.replacements += n_asc_repl
     stats.instructions += n_instructions
     counters = stats.counters
     # Counter keys appear only when the scalar loop would have created

@@ -46,7 +46,7 @@ from ..pipeline.stats import SimStats, StallCategory
 from .asc import (HIT, HIT_INVALID, INVALID, MISS_SPECULATIVE,
                   AdvanceStoreCache)
 from .columnar import run_columnar
-from .result_store import ResultStore, RSEntry
+from .result_store import ResultStore
 
 
 class Mode(enum.Enum):
@@ -97,7 +97,11 @@ class MultipassCore(BaseCore):
         #: inherits persistence/restart/regrouping.
         self.rally_exit_refill = False
 
-        self.rs = ResultStore(config.multipass_queue_size, checked=check)
+        # The paper's result store and advance store cache, one of each,
+        # shared by the columnar kernel and the scalar loop below: both
+        # probe the store's per-seq columns and write through its methods.
+        self.rs = ResultStore(len(trace), config.multipass_queue_size,
+                              checked=check)
         self.asc = AdvanceStoreCache(config.asc_entries, config.asc_assoc)
         # Committed memory image, used to observe the (possibly stale)
         # value a data-speculative advance load would actually read.
@@ -156,30 +160,22 @@ class MultipassCore(BaseCore):
             f"[{self.model_name}/{self.trace.program.name}]{where}: "
             f"{message}")
 
-    def _check_merge(self, entry: TraceEntry, rs_entry: RSEntry,
-                     now: int) -> None:
+    def _check_merge(self, entry: TraceEntry, now: int) -> None:
         """Rally merges must consume exactly the preserved valid result."""
+        rs = self.rs
+        seq = entry.seq
         self._invariant(
-            rs_entry.seq == entry.seq,
-            f"RS entry seq {rs_entry.seq} merged into committing seq "
-            f"{entry.seq}", entry)
-        self._invariant(
-            rs_entry.done(now),
-            f"merged RS entry not done until cycle {rs_entry.ready} "
+            rs.ready[seq] <= now,
+            f"merged RS entry not done until cycle {rs.ready[seq]} "
             f"(now={now}): stale in-flight result served", entry)
         self._invariant(
-            not rs_entry.sbit,
+            not rs.sbit[seq],
             "data-speculative RS entry merged without verification", entry)
         if entry.is_load:
             self._invariant(
-                rs_entry.value == entry.value,
-                f"merged load value {rs_entry.value!r} differs from "
+                rs.value[seq] == entry.value,
+                f"merged load value {rs.value[seq]!r} differs from "
                 f"architectural value {entry.value!r}", entry)
-        if rs_entry.is_store:
-            self._invariant(
-                rs_entry.addr == entry.addr,
-                f"merged store address {rs_entry.addr!r} differs from "
-                f"architectural address {entry.addr!r}", entry)
 
     # ------------------------------------------------------------------
     # mode transitions
@@ -294,7 +290,8 @@ class MultipassCore(BaseCore):
         d_ifu = dec.issue_fu
         entries = self.trace.entries
         counters = self.stats.counters
-        rs_get = self.rs.get if self.persist_results else None
+        rs = self.rs
+        rs_live = rs.live
         tel = self.tracer
         tracker = self._tracker
         tracker.reset()
@@ -315,15 +312,17 @@ class MultipassCore(BaseCore):
             seq = self.adv_ptr
             counters["iq_peeks"] += 1
 
-            rs_entry = rs_get(seq) if rs_get is not None else None
-            if rs_entry is not None:
-                if rs_entry.ready > now:
+            # Only persistent models ever put, so a live entry implies
+            # ``persist_results``.
+            if rs_live[seq]:
+                ready = rs.read(seq)
+                if ready > now:
                     # Result (typically a missing load from an earlier
                     # pass) still in flight: consumers stay deferred.
                     for dest in d_dests[seq]:
                         poison_stamp[dest] = epoch
                         pready_stamp[dest] = epoch
-                        pready_val[dest] = rs_entry.ready
+                        pready_val[dest] = ready
                         srf_stamp[dest] = 0
                     self.adv_ptr = seq + 1
                     slots += 1
@@ -457,8 +456,7 @@ class MultipassCore(BaseCore):
         if not dec.executed[seq]:
             # Predicate-nullified: flows through, nothing to preserve.
             if self.persist_results:
-                self.rs.put(RSEntry(seq, now + 1,
-                                    resolved_branch=dec.is_branch[seq]))
+                self.rs.put(seq, now + 1)
             if dec.is_branch[seq]:
                 self._resolve_advance_branch(entry, now)
             self.adv_ptr = seq + 1
@@ -467,7 +465,7 @@ class MultipassCore(BaseCore):
         if dec.is_branch[seq]:
             self._resolve_advance_branch(entry, now)
             if self.persist_results:
-                self.rs.put(RSEntry(seq, now + 1, resolved_branch=True))
+                self.rs.put(seq, now + 1)
             self.adv_ptr = seq + 1
             return 1
 
@@ -475,8 +473,7 @@ class MultipassCore(BaseCore):
             self.asc.write(entry.addr, entry.value)
             self.stats.counters["advance_stores"] += 1
             if self.persist_results:
-                self.rs.put(RSEntry(seq, now + 1, addr=entry.addr,
-                                    is_store=True))
+                self.rs.put(seq, now + 1)
             self.adv_ptr = seq + 1
             return 1
 
@@ -496,7 +493,7 @@ class MultipassCore(BaseCore):
             self._pready_stamp[dest] = 0
         if self.persist_results and (dests or entry.inst.opcode is
                                      Opcode.NOP):
-            self.rs.put(RSEntry(seq, now + latency))
+            self.rs.put(seq, now + latency)
         self.adv_ptr = seq + 1
         return 1
 
@@ -538,8 +535,7 @@ class MultipassCore(BaseCore):
                 poison_stamp[dest] = 0
                 pready_stamp[dest] = 0
             if self.persist_results:
-                self.rs.put(RSEntry(entry.seq, now + 1, value=entry.value,
-                                    addr=addr))
+                self.rs.put(entry.seq, now + 1, 0, entry.value)
             self.stats.counters["asc_forwards"] += 1
             return
         if outcome == HIT_INVALID:
@@ -553,9 +549,8 @@ class MultipassCore(BaseCore):
                     else entry.value)
         l1_hit = not result.l1_miss
         if self.persist_results:
-            self.rs.put(RSEntry(entry.seq, result.ready,
-                                sbit=data_speculative, value=observed,
-                                addr=addr))
+            self.rs.put(entry.seq, result.ready, data_speculative,
+                        observed)
         if data_speculative:
             self.stats.counters["sbit_loads"] += 1
         if l1_hit:
@@ -587,11 +582,10 @@ class MultipassCore(BaseCore):
     # architectural / rally issue
     # ------------------------------------------------------------------
 
-    def _merge_committed(self, entry: TraceEntry, rs_entry: RSEntry,
-                         now: int) -> None:
+    def _merge_committed(self, entry: TraceEntry, now: int) -> None:
         """Commit a preserved result without re-execution."""
         if self.check:
-            self._check_merge(entry, rs_entry, now)
+            self._check_merge(entry, now)
         self.rs.pop(entry.seq)
         self.stats.counters["rally_merges"] += 1
         self.stats.instructions += 1
@@ -601,32 +595,28 @@ class MultipassCore(BaseCore):
         for dest in entry.dests:
             self.reg_ready[dest] = now
             self.load_miss_pending[dest] = 0
-        if rs_entry.is_store:
+        if entry.is_store:
             # Pre-executed stores re-perform their access in rally mode
             # using the SMAQ address (Section 3.6).
-            self.hierarchy.access(rs_entry.addr, now, kind="store")
-            self.mem_vals[rs_entry.addr] = entry.value
+            self.hierarchy.access(entry.addr, now, kind="store")
+            self.mem_vals[entry.addr] = entry.value
             self.stats.counters["smaq_reads"] += 1
 
-    def _verify_speculative_load(self, entry: TraceEntry,
-                                 rs_entry: RSEntry, now: int) -> bool:
+    def _verify_speculative_load(self, entry: TraceEntry, now: int) -> bool:
         """Re-perform a data-speculative load; flush on value mismatch."""
+        rs = self.rs
         if self.check:
             self._invariant(
-                rs_entry.sbit,
+                rs.sbit[entry.seq],
                 "speculative-load verification of a non-S-bit RS entry",
                 entry)
-            self._invariant(
-                rs_entry.seq == entry.seq,
-                f"RS entry seq {rs_entry.seq} served for committing seq "
-                f"{entry.seq}", entry)
-        self.rs.pop(entry.seq)
+        rs.pop(entry.seq)
         self.stats.counters["sbit_verifications"] += 1
         self.stats.counters["smaq_reads"] += 1
-        result = self.hierarchy.access(rs_entry.addr, now)
+        result = self.hierarchy.access(entry.addr, now)
         if result.l1_miss and self.tracer is not None:
             self.tracer.cache_miss(now, entry.seq, result.level)
-        if rs_entry.value == entry.value:
+        if rs.value[entry.seq] == entry.value:
             self.stats.instructions += 1
             self.commit_entry(entry, now)
             self.writeback(entry, now, result.latency, result.l1_miss)
@@ -636,12 +626,12 @@ class MultipassCore(BaseCore):
         self.stats.instructions += 1
         self.commit_entry(entry, now)
         self.writeback(entry, now, result.latency, result.l1_miss)
-        self.rs.clear_from(entry.seq + 1)
+        rs.clear_from(entry.seq + 1)
         self.max_peek = min(self.max_peek, entry.seq + 1)
         self.arch_stall_until = now + self.config.flush_penalty
         if self.check:
             self._invariant(
-                self.rs.max_seq() <= entry.seq,
+                rs.max_seq() <= entry.seq,
                 "RS retains entries younger than a value flush", entry)
         return True
 
@@ -691,7 +681,9 @@ class MultipassCore(BaseCore):
         mem_vals = self.mem_vals
         replay = self.replay
         rs = self.rs
-        rs_peek = rs.peek if self.persist_results else None
+        rs_live = rs.live
+        rs_ready = rs.ready
+        rs_sbit = rs.sbit
         enable_regroup = self.enable_regroup
         width = self.config.ports.width
         tracker = self._tracker
@@ -770,21 +762,20 @@ class MultipassCore(BaseCore):
                 seq = aptr
                 counters["iq_dequeues"] += 1
 
-                rs_entry = rs_peek(seq) if rs_peek is not None else None
-                if rs_entry is not None:
-                    if not rs_entry.done(now):
+                if rs_live[seq]:
+                    if rs_ready[seq] > now:
                         # Preserved result still in flight (missing load
                         # from an earlier pass): the rally stream stalls
                         # on it without re-executing, and the stall
                         # re-triggers advance mode so preexecution
                         # continues beyond it.
                         reason = LOAD
-                        wait_until = rs_entry.ready
+                        wait_until = rs_ready[seq]
                         trigger = entries[seq]
                         break
-                    if not rs_entry.sbit:
+                    if not rs_sbit[seq]:
                         self.arch_ptr = aptr
-                        self._merge_committed(entries[seq], rs_entry, now)
+                        self._merge_committed(entries[seq], now)
                         issued += 1
                         aptr = seq + 1
                         if not dynamic_groups and d_stop[seq]:
@@ -797,7 +788,7 @@ class MultipassCore(BaseCore):
                     tracker.issue(FUClass.MEM)
                     self.arch_ptr = aptr
                     flushed = self._verify_speculative_load(entries[seq],
-                                                            rs_entry, now)
+                                                            now)
                     issued += 1
                     aptr = seq + 1
                     if flushed:

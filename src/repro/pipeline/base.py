@@ -8,7 +8,6 @@ memory hierarchy, branch predictor and front end, and produces a
 from __future__ import annotations
 
 from ..branch.gshare import GsharePredictor
-from ..isa.opcodes import FUClass
 from ..isa.registers import NUM_REGS
 from ..isa.trace import Trace, TraceEntry
 from ..machine import MachineConfig
@@ -66,10 +65,6 @@ class BaseCore:
             self.replay = ArchReplay(trace, model=self.model_name)
 
     # -- execution helpers -----------------------------------------------------
-
-    def issue_fu(self, entry: TraceEntry) -> FUClass:
-        """Functional-unit class the entry occupies (nullified -> none)."""
-        return entry.inst.spec.fu if entry.executed else FUClass.NONE
 
     def writeback(self, entry: TraceEntry, now: int, latency: int,
                   l1_miss: bool) -> None:

@@ -6,7 +6,7 @@ from repro.analysis import ArchReplay, InvariantError
 from repro.harness import TraceCache, make_model
 from repro.isa import P, R, ProgramBuilder, execute
 from repro.isa.trace import TraceEntry
-from repro.multipass.result_store import ResultStore, RSEntry
+from repro.multipass.result_store import ResultStore
 
 
 def small_trace():
@@ -93,15 +93,27 @@ def test_every_model_passes_checked_run(model):
 
 
 def test_result_store_checked_capacity_overflow():
-    rs = ResultStore(capacity=2, checked=True)
-    rs.put(RSEntry(0, ready=1))
-    rs.put(RSEntry(1, ready=1))
+    rs = ResultStore(8, capacity=2, checked=True)
+    rs.put(0, ready=1)
+    rs.put(1, ready=1)
+    rs.put(1, ready=2)            # an overwrite takes no new slot
     with pytest.raises(InvariantError, match="overflowed"):
-        rs.put(RSEntry(2, ready=1))
+        rs.put(2, ready=1)
 
 
 def test_result_store_unchecked_does_not_enforce():
-    rs = ResultStore(capacity=1, checked=False)
-    rs.put(RSEntry(0, ready=1))
-    rs.put(RSEntry(1, ready=1))   # legacy permissive behaviour
+    rs = ResultStore(8, capacity=1, checked=False)
+    rs.put(0, ready=1)
+    rs.put(1, ready=1)   # legacy permissive behaviour
     assert len(rs) == 2
+
+
+@pytest.mark.parametrize("slow", [False, True])
+def test_checked_run_enforces_result_store_capacity(slow):
+    """Both multipass loops write the core's one result store, so a
+    checked run of either overflows a store shrunk below the queue."""
+    trace = TraceCache(scale=0.05).trace("mcf")
+    core = make_model("multipass", trace, check=True, slow=slow)
+    core.rs.capacity = 4
+    with pytest.raises(InvariantError, match="result store overflowed"):
+        core.run()

@@ -15,8 +15,6 @@ import pytest
 from repro.harness.experiment import TraceCache
 from repro.isa.opcodes import FUClass
 from repro.isa.trace import Trace
-from repro.machine import MachineConfig
-from repro.pipeline.base import BaseCore
 
 from .test_executor import reference_run
 
@@ -58,14 +56,14 @@ def test_fields_match_entry_properties(trace, reference):
 
 
 def test_issue_fu_matches_basecore_rule(trace, reference):
-    """issue_fu mirrors BaseCore.issue_fu: NONE when nullified."""
+    """An entry occupies its static FU class, or NONE when nullified."""
     dec = trace.decoded
-    core = BaseCore(trace, MachineConfig(), 64)
     nullified = 0
     for i, entry in enumerate(reference):
-        assert dec.issue_fu[i] is core.issue_fu(entry)
-        if dec.issue_fu[i] is FUClass.NONE and entry.inst.spec.fu \
-                is not FUClass.NONE:
+        spec = entry.inst.spec
+        assert dec.issue_fu[i] is (spec.fu if entry.executed
+                                   else FUClass.NONE)
+        if dec.issue_fu[i] is FUClass.NONE and spec.fu is not FUClass.NONE:
             nullified += 1
     assert nullified > 0, "workload should exercise nullified slots"
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.multipass import (HIT, HIT_INVALID, INVALID, MISS,
-                             MISS_SPECULATIVE, AdvanceStoreCache, RSEntry,
+                             MISS_SPECULATIVE, AdvanceStoreCache,
                              ResultStore)
 
 
@@ -60,41 +60,39 @@ class TestAdvanceStoreCache:
 
 class TestResultStore:
     def test_put_get_pop(self):
-        rs = ResultStore()
-        rs.put(RSEntry(seq=5, ready=10))
-        assert rs.get(5).ready == 10
-        assert rs.pop(5).seq == 5
-        assert rs.get(5) is None
-
-    def test_done_is_time_dependent(self):
-        e = RSEntry(seq=1, ready=100)
-        assert not e.done(50)
-        assert e.done(100)
+        rs = ResultStore(16)
+        rs.put(5, ready=10)
+        assert rs.live[5] and rs.read(5) == 10
+        rs.pop(5)
+        assert not rs.live[5] and len(rs) == 0
+        assert (rs.writes, rs.reads, rs.merges) == (1, 1, 1)
 
     def test_overwrite_same_seq(self):
-        rs = ResultStore()
-        rs.put(RSEntry(seq=1, ready=5))
-        rs.put(RSEntry(seq=1, ready=9))
-        assert rs.get(1).ready == 9
+        rs = ResultStore(16)
+        rs.put(1, ready=5, sbit=1, value=3)
+        rs.put(1, ready=9)
+        assert rs.ready[1] == 9 and not rs.sbit[1] and rs.value[1] is None
         assert len(rs) == 1
 
     def test_clear_from_flushes_younger(self):
-        rs = ResultStore()
+        rs = ResultStore(16)
         for seq in range(10):
-            rs.put(RSEntry(seq=seq, ready=0))
+            rs.put(seq, ready=0)
         cleared = rs.clear_from(6)
         assert cleared == 4
-        assert 5 in rs and 6 not in rs
+        assert rs.live[5] and not any(rs.live[6:])
+        assert rs.clear_from(6) == 0
 
     def test_max_seq(self):
-        rs = ResultStore()
+        rs = ResultStore(16)
         assert rs.max_seq() == -1
-        rs.put(RSEntry(seq=3, ready=0))
-        rs.put(RSEntry(seq=7, ready=0))
+        rs.put(3, ready=0)
+        rs.put(7, ready=0)
         assert rs.max_seq() == 7
+        rs.pop(7)
+        assert rs.max_seq() == 3
 
     def test_sbit_value_round_trip(self):
-        rs = ResultStore()
-        rs.put(RSEntry(seq=2, ready=0, sbit=True, value=99, addr=0x40))
-        e = rs.get(2)
-        assert e.sbit and e.value == 99 and e.addr == 0x40
+        rs = ResultStore(16)
+        rs.put(2, ready=0, sbit=1, value=99)
+        assert rs.sbit[2] and rs.value[2] == 99

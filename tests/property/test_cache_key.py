@@ -1,14 +1,10 @@
-"""Property tests for the result-cache key and the multipass ResultStore.
+"""Property tests for the result-cache key.
 
-The cache-key contract: any change to any field of
-:class:`CompileOptions` or :class:`MachineConfig` — or to the workload,
-model, scale, instruction budget or source-tree digest — must change
-the key; recreating identical configurations must reproduce it exactly
-(the key is hash()-free, so it is stable across interpreter runs).
-
-The ResultStore contract: random op programs against the store behave
-like a plain seq -> entry mapping (persistence across passes is just
-"the dict keeps what you put until popped/flushed").
+Any change to any field of :class:`CompileOptions` or
+:class:`MachineConfig` — or to the workload, model, scale, instruction
+budget or source-tree digest — must change the key; recreating
+identical configurations must reproduce it exactly (the key is
+hash()-free, so it is stable across interpreter runs).
 """
 
 import dataclasses
@@ -18,13 +14,12 @@ import pytest
 hypothesis = pytest.importorskip(
     "hypothesis", reason="property tests need hypothesis")
 import hypothesis.strategies as st  # noqa: E402
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import given  # noqa: E402
 
 from repro.compiler import CompileOptions  # noqa: E402
 from repro.harness.results_cache import (canonical, cell_key,  # noqa: E402
                                          fingerprint)
 from repro.machine import MachineConfig  # noqa: E402
-from repro.multipass import RSEntry, ResultStore  # noqa: E402
 from repro.resources import PortModel  # noqa: E402
 
 DIGEST = "test-digest"
@@ -105,74 +100,3 @@ class TestCacheKey:
     def test_canonical_rejects_unfingerprintable_types(self):
         with pytest.raises(TypeError):
             canonical(object())
-
-
-# --- ResultStore persistence invariants ------------------------------
-
-_SEQS = st.integers(0, 63)
-
-_OPS = st.one_of(
-    st.tuples(st.just("put"), _SEQS, st.integers(0, 1000)),
-    st.tuples(st.just("get"), _SEQS, st.none()),
-    st.tuples(st.just("pop"), _SEQS, st.none()),
-    st.tuples(st.just("discard"), _SEQS, st.none()),
-    st.tuples(st.just("clear_from"), _SEQS, st.none()),
-)
-
-
-class TestResultStoreProperties:
-    @settings(max_examples=60)
-    @given(st.lists(_OPS, max_size=120))
-    def test_random_program_matches_mapping_model(self, ops):
-        store = ResultStore(capacity=256)
-        model = {}
-        for op, seq, arg in ops:
-            if op == "put":
-                entry = RSEntry(seq, ready=arg)
-                store.put(entry)
-                model[seq] = entry
-            elif op == "get":
-                got = store.get(seq)
-                assert got is model.get(seq)
-                if got is not None:
-                    assert got.seq == seq
-            elif op == "pop":
-                assert store.pop(seq) is model.pop(seq, None)
-            elif op == "discard":
-                store.discard(seq)
-                model.pop(seq, None)
-            else:  # clear_from: flush at/beyond seq, count the victims
-                expected = {s for s in model if s >= seq}
-                assert store.clear_from(seq) == len(expected)
-                for s in expected:
-                    del model[s]
-            # Invariants checked after every op.
-            assert len(store) == len(model)
-            assert store.max_seq() == max(model, default=-1)
-            for s in model:
-                assert s in store
-        for s, entry in model.items():
-            assert store.peek(s) is entry
-
-    @settings(max_examples=30)
-    @given(st.lists(st.tuples(_SEQS, st.integers(0, 100)), min_size=1))
-    def test_put_overwrites_latest_pass_wins(self, puts):
-        store = ResultStore()
-        for seq, ready in puts:
-            store.put(RSEntry(seq, ready=ready))
-        assert store.writes == len(puts)
-        latest = {}
-        for seq, ready in puts:
-            latest[seq] = ready
-        for seq, ready in latest.items():
-            assert store.peek(seq).ready == ready
-
-    @given(st.lists(_SEQS, unique=True, min_size=1), st.integers(0, 63))
-    def test_clear_from_is_a_prefix_filter(self, seqs, cut):
-        store = ResultStore()
-        for seq in seqs:
-            store.put(RSEntry(seq, ready=0))
-        store.clear_from(cut)
-        assert store.max_seq() < cut  # -1 when emptied
-        for seq in seqs:
-            assert (seq in store) == (seq < cut)

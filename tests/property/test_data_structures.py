@@ -1,14 +1,15 @@
 """Hypothesis property tests for the core data structures."""
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.branch import GsharePredictor
 from repro.compiler import tarjan_scc
 from repro.isa import to_int32
 from repro.memory import Cache, CacheConfig, MSHRFile
-from repro.multipass import (HIT, HIT_INVALID, MISS, MISS_SPECULATIVE,
-                             AdvanceStoreCache, RSEntry, ResultStore)
+from repro.multipass import (HIT, HIT_INVALID, INVALID, MISS,
+                             MISS_SPECULATIVE, AdvanceStoreCache,
+                             ResultStore)
 
 
 class TestInt32:
@@ -104,7 +105,77 @@ class TestGshareProperties:
         assert p1._counters == p2._counters
 
 
+class _EagerASC:
+    """The ASC with an eager ``clear()``: every set emptied, the clock
+    restarted.  The model the generation-stamped cache must match."""
+
+    def __init__(self, entries, assoc, word_size=4):
+        self.assoc = assoc
+        self.word_size = word_size
+        self.num_sets = entries // assoc
+        self.writes = self.reads = self.forwards = self.replacements = 0
+        self.clear()
+
+    def clear(self):
+        self.sets = [{} for _ in range(self.num_sets)]
+        self.replaced = [False] * self.num_sets
+        self.clock = 0
+
+    def write(self, addr, value):
+        self.writes += 1
+        self.clock += 1
+        index = (addr // self.word_size) % self.num_sets
+        ways = self.sets[index]
+        if addr not in ways and len(ways) >= self.assoc:
+            del ways[min(ways, key=lambda a: ways[a][1])]
+            self.replaced[index] = True
+            self.replacements += 1
+        ways[addr] = (value, self.clock)
+
+    def read(self, addr):
+        self.reads += 1
+        index = (addr // self.word_size) % self.num_sets
+        if addr in self.sets[index]:
+            value = self.sets[index][addr][0]
+            if value is INVALID:
+                return HIT_INVALID, None
+            self.forwards += 1
+            return HIT, value
+        return (MISS_SPECULATIVE if self.replaced[index] else MISS), None
+
+
+#: 32 words over the 4 sets of an 8-entry 2-way ASC: 8 words per set.
+_ASC_ADDRS = st.integers(0, 31).map(lambda w: w * 4)
+_ASC_OPS = st.one_of(
+    st.tuples(st.just("write"), _ASC_ADDRS, st.integers(0, 99)),
+    st.tuples(st.sampled_from(["invalid", "read"]), _ASC_ADDRS, st.none()),
+    st.tuples(st.just("clear"), st.none(), st.none()),
+)
+
+
 class TestASCProperties:
+    # Write A, clear, write B in A's set, read A: a stale set that is
+    # not emptied on its first touch in the new pass forwards A.
+    @example([("write", 0, 1), ("clear", None, None), ("write", 16, 2),
+              ("read", 0, None)])
+    @given(st.lists(_ASC_OPS, max_size=150))
+    def test_matches_eager_model(self, ops):
+        """Every read, and every counter, equals the eager model's."""
+        asc = AdvanceStoreCache(entries=8, assoc=2)
+        eager = _EagerASC(entries=8, assoc=2)
+        for op, addr, value in ops:
+            if op == "clear":
+                asc.clear()
+                eager.clear()
+            elif op == "read":
+                assert asc.read(addr) == eager.read(addr)
+            else:
+                value = INVALID if op == "invalid" else value
+                asc.write(addr, value)
+                eager.write(addr, value)
+        assert (asc.writes, asc.reads, asc.forwards, asc.replacements) == (
+            eager.writes, eager.reads, eager.forwards, eager.replacements)
+
     @given(st.lists(st.tuples(st.booleans(), word_addrs,
                               st.integers(0, 1000)), max_size=120))
     def test_matches_reference_model(self, ops):
@@ -137,25 +208,56 @@ class TestASCProperties:
             assert asc.read(addr)[0] == MISS
 
 
+_RS_N = 64
+_RS_SEQS = st.integers(0, _RS_N - 1)
+#: (ready, sbit, value) of one put.
+_RS_ENTRIES = st.tuples(st.integers(0, 1000), st.integers(0, 1),
+                        st.none() | st.integers(0, 9))
+_RS_OPS = st.one_of(
+    st.tuples(st.just("put"), _RS_SEQS, _RS_ENTRIES),
+    st.tuples(st.sampled_from(["read", "pop", "clear_from"]), _RS_SEQS,
+              st.none()),
+)
+
+
 class TestResultStoreProperties:
-    @given(st.lists(st.tuples(st.sampled_from(["put", "pop", "clear_from"]),
-                              st.integers(0, 63)), max_size=200))
+    @given(st.lists(_RS_OPS, max_size=200))
     def test_matches_dict_model(self, ops):
-        rs = ResultStore()
+        """The store behaves like a seq -> (ready, sbit, value) dict.
+
+        ``read`` and ``pop`` address a live entry, as both multipass
+        loops do: the drawn seq picks one of the model's keys.
+        """
+        rs = ResultStore(_RS_N)
         model = {}
-        for op, seq in ops:
+        writes = reads = merges = 0
+        for op, seq, entry in ops:
             if op == "put":
-                rs.put(RSEntry(seq, ready=0))
-                model[seq] = True
-            elif op == "pop":
-                got = rs.pop(seq)
-                assert (got is not None) == (seq in model)
-                model.pop(seq, None)
-            else:
-                rs.clear_from(seq)
-                model = {s: v for s, v in model.items() if s < seq}
+                rs.put(seq, *entry)
+                model[seq] = entry
+                writes += 1
+            elif op == "clear_from":
+                flushed = [s for s in model if s >= seq]
+                assert rs.clear_from(seq) == len(flushed)
+                for s in flushed:
+                    del model[s]
+            elif model:
+                live = sorted(model)[seq % len(model)]
+                if op == "read":
+                    assert rs.read(live) == model[live][0]
+                    reads += 1
+                else:
+                    rs.pop(live)
+                    del model[live]
+                    merges += 1
             assert len(rs) == len(model)
-            assert rs.max_seq() == (max(model) if model else -1)
+            assert rs.max_seq() == max(model, default=-1)
+            assert {s for s in range(_RS_N) if rs.live[s]} == set(model)
+            for s, (ready, sbit, value) in model.items():
+                assert (rs.ready[s], rs.sbit[s], rs.value[s]) == (
+                    ready, sbit, value)
+            assert (rs.writes, rs.reads, rs.merges) == (writes, reads,
+                                                        merges)
 
 
 class TestTarjanProperties:
