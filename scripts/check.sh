@@ -178,9 +178,10 @@ rm -rf "$trace_dir"
 step "examples and scripts (every script runs to completion)"
 # No test imports the examples or scripts/*.py; a non-zero exit from
 # any of them fails the gate.  pipeline_viewer.py runs mcf at scale
-# 0.05, the two simulation scripts run at scale 0.05 to stay short, and
-# the A/B driver runs one traced-sweep pair of HEAD against the working
-# tree (~15 s).
+# 0.05, the two simulation scripts run at scale 0.05 to stay short, the
+# opcode counter runs its fixed mcf/gap matrix at scale 0.05 (~6 s),
+# and the A/B driver runs one traced-sweep pair of HEAD against the
+# working tree (~15 s).
 for example in examples/*.py; do
     args=""
     [ "$example" = examples/pipeline_viewer.py ] && args="mcf 0.05"
@@ -193,6 +194,8 @@ python scripts/calibrate.py mcf vpr --scale 0.05 >/dev/null || fail
 echo "scripts/run_experiments.py --scale 0.05 --skip-fig7"
 python scripts/run_experiments.py --scale 0.05 --skip-fig7 >/dev/null \
     || fail
+echo "scripts/opcodes.py"
+python scripts/opcodes.py >/dev/null || fail
 echo "scripts/ab.py HEAD --workload traced-sweep --pairs 1 --seconds 0"
 python scripts/ab.py HEAD --workload traced-sweep --pairs 1 --seconds 0 \
     >/dev/null || fail

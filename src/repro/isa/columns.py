@@ -7,9 +7,11 @@ the simulation hot loops.  This module derives the columns that are not
 plain decoded fields once per trace and caches them on the
 :class:`~repro.isa.decoded.DecodedTrace`:
 
-* ``port_code`` (the :data:`~repro.resources.PORT_CODE` small-int class
-  of each entry) and ``queue_code`` (which decentralized issue queue the
-  entry occupies on the realistic OOO model);
+* ``port_code`` (the :data:`~repro.resources.PORT_CODE` ordinal of each
+  entry's issue FU class, the column a loop steps
+  :func:`~repro.resources.issue_table` with) and ``queue_code``
+  (:data:`~repro.resources.QUEUE_CODE`, the decentralized issue queue
+  the entry occupies on the realistic OOO model);
 * ``fetch_lines`` and ``fetch_runs``, the I-cache line of each entry and
   the end of its same-line run, per fetch geometry;
 * ``multipass_kind``, the advance-dispatch class of each entry.
@@ -23,22 +25,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..resources import PORT_CODE
-from .opcodes import FUClass
+from ..resources import PORT_CODE, QUEUE_CODE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .decoded import DecodedTrace
-
-#: Decentralized-issue-queue class per FU (realistic OOO model):
-#: 0 = memory queue, 1 = integer queue (ALU/BR/slot-only), 2 = FP queue.
-QUEUE_CODE = {
-    FUClass.MEM: 0,
-    FUClass.ALU: 1,
-    FUClass.BR: 1,
-    FUClass.NONE: 1,
-    FUClass.FP: 2,
-    FUClass.MULDIV: 2,
-}
 
 
 class TraceColumns:

@@ -42,7 +42,10 @@ PR 7 OOO kernel (:mod:`repro.ooo.columnar`):
   ``hierarchy.access``.  ``tick`` counts the L1I hits of resident code
   instead of probing them; a ``tick`` that probed every line change
   through ``hierarchy.access`` read cold-sweep 1.14x slower
-  (EXPERIMENTS.md, "One memory path in the kernels").
+  (EXPERIMENTS.md, "One memory path in the kernels").  Every port
+  claim (an advance execution, an S-bit verification, an architectural
+  issue) is one step of :func:`~repro.resources.issue_table`, the
+  scalar loop's ``PortTracker`` as a table.
 
 Mode-machine equivalence: the kernel replicates the scalar loop
 cycle-for-cycle — fetch, rally entry at ``trigger_ready``, the advance
@@ -69,8 +72,9 @@ from __future__ import annotations
 from itertools import compress
 
 from ..isa.columns import columns_of
-from ..isa.opcodes import Opcode
+from ..isa.opcodes import FUClass, Opcode
 from ..pipeline.stats import SimStats, StallCategory
+from ..resources import PORT_CODE, issue_table
 from .asc import HIT, HIT_INVALID, INVALID, MISS_SPECULATIVE
 
 #: "No internal event": a fast-forward hint meaning the issue logic found
@@ -118,12 +122,11 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     entries = trace.entries if replay is not None else None
     insts = trace.program.instructions
     buffer_size = core.buffer_size
-    ports = config.ports
-    width = ports.width
-    m_ports = ports.m_ports
-    i_ports = ports.i_ports
-    f_ports = ports.f_ports
-    b_ports = ports.b_ports
+    width = config.ports.width
+    # The dispersal rule: a port claim is one step of the tracker's
+    # table, refused at -1 (``port_state`` resets to 0 each cycle).
+    table = issue_table(config.ports)
+    MEM_CODE = PORT_CODE[FUClass.MEM]
     mispredict_penalty = config.mispredict_penalty
     advance_entry_delay = config.advance_entry_delay
     advance_restart_refill = config.advance_restart_refill
@@ -286,7 +289,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
             elif now < adv_stall_until:
                 wake = adv_stall_until
             else:
-                m_used = i_used = f_used = b_used = 0
+                port_state = 0
                 window_end = f_fetched
                 if n < window_end:
                     window_end = n
@@ -455,27 +458,11 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             peeks = 1
                         break
 
-                    # Valid operands: execute speculatively.
-                    code = port_code[seq]
-                    if code == 0:          # MEM
-                        if m_used >= m_ports:
-                            break
-                        m_used += 1
-                    elif code == 1:        # ALU: I port with M fallback
-                        if i_used < i_ports:
-                            i_used += 1
-                        elif m_used < m_ports:
-                            m_used += 1
-                        else:
-                            break
-                    elif code == 2:        # FP / MULDIV
-                        if f_used >= f_ports:
-                            break
-                        f_used += 1
-                    elif code == 3:        # BR
-                        if b_used >= b_ports:
-                            break
-                        b_used += 1
+                    # Valid operands: execute speculatively (a refused
+                    # port ends the cycle, so the claim can be eager).
+                    port_state = table[port_state + port_code[seq]]
+                    if port_state < 0:
+                        break
 
                     n_advance_execs += 1
                     if rec:
@@ -669,7 +656,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
             continue
 
         # ---- architectural / rally issue ------------------------------
-        m_used = i_used = f_used = b_used = 0
+        port_state = 0
         issued = 0
         reason_load = False
         wait_until = now + 1
@@ -722,9 +709,9 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                     if not dynamic_groups and d_stop[seq]:
                         break
                     continue
-                if m_used >= m_ports:
+                port_state = table[port_state + MEM_CODE]
+                if port_state < 0:
                     break
-                m_used += 1
                 # S-bit verification: re-perform the load and compare.
                 rs_pop(seq)
                 n_sbit_verifications += 1
@@ -756,30 +743,13 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                     break
                 continue
 
-            # Normal in-order execution.  Port counters are claimed
-            # eagerly: every non-issuing path below ends the cycle with
-            # ``break``, after which the counters are dead until the
-            # next cycle's reset.
-            code = port_code[seq]
-            if code == 0:          # MEM
-                if m_used >= m_ports:
-                    break
-                m_used += 1
-            elif code == 1:        # ALU: I port with M fallback
-                if i_used < i_ports:
-                    i_used += 1
-                elif m_used < m_ports:
-                    m_used += 1
-                else:
-                    break
-            elif code == 2:        # FP / MULDIV
-                if f_used >= f_ports:
-                    break
-                f_used += 1
-            elif code == 3:        # BR
-                if b_used >= b_ports:
-                    break
-                b_used += 1
+            # Normal in-order execution.  The port is claimed eagerly:
+            # every non-issuing path below ends the cycle with
+            # ``break``, after which the state is dead until the next
+            # cycle's reset.
+            port_state = table[port_state + port_code[seq]]
+            if port_state < 0:
+                break
             stall = 0
             load_wait = False
             for s in d_srcs[seq]:

@@ -38,9 +38,10 @@ window:
   ready[i]`` shift, no bisect — and only after a starvation skip does
   the issued seq come out of the middle, which is the old kernel's
   behaviour and rare.  The scan itself is the scalar loop's: oldest
-  first, per-class port budgets decremented in visit order (ALU takes
-  an I port, spilling to M ports; a spilled ALU can starve MEM), so it
-  selects exactly the seqs the scalar scan would, in the same order.
+  first, each issue one step of :func:`~repro.resources.issue_table`,
+  the scalar loop's ``PortTracker`` as a table (ALU takes an I port,
+  spilling to M ports; a spilled ALU can starve MEM), so it selects
+  exactly the seqs the scalar scan would, in the same order.
   (A five-way port-class bucket split with a cached-head merge was
   measured here and *lost*: its per-cycle class bookkeeping costs more
   than starvation-skip shifts ever did — see ``EXPERIMENTS.md``.)
@@ -80,9 +81,10 @@ Equivalence invariants (the bit-identity contract, see
   exactly the cycles producer events are scheduled at (modulo the
   ``wakeup_delay`` adjustment applied to both).  Only stale entries can
   be jumped; their stamp discards them when they next surface.
-* The window boundary (the ``window``-th oldest un-issued seq) and the
-  port counters are sampled once per cycle before the issue scan,
-  matching the scalar scan's fixed candidate slice.
+* The window boundary (the ``window``-th oldest un-issued seq) is
+  sampled once per cycle before the issue scan, and the port state
+  starts empty there, matching the scalar scan's fixed candidate slice
+  and ``tracker.reset()``.
 
 The kernel reaches the memory system and the branch predictor only
 through their public entry points, as the scalar loop does.  Fetch is
@@ -109,6 +111,7 @@ from ..isa.columns import columns_of
 from ..isa.registers import NUM_REGS
 from ..pipeline.eventq import WHEEL, EventCalendar
 from ..pipeline.stats import SimStats, StallCategory
+from ..resources import issue_table
 
 #: Sentinel wake-up target meaning "no in-flight completion at all".
 _INF = 1 << 62
@@ -159,11 +162,9 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     # end, as in the scalar loop.
     resolve = frontend.resolve
     wakeup_delay = core.wakeup_delay
-    ports = config.ports
-    m_ports = ports.m_ports
-    i_ports = ports.i_ports
-    f_ports = ports.f_ports
-    b_ports = ports.b_ports
+    # The dispersal rule: an issue is one step of the tracker's table,
+    # refused at -1.  The scan's own width break always comes first.
+    table = issue_table(config.ports)
     EXECUTION = StallCategory.EXECUTION
     FRONT_END = StallCategory.FRONT_END
     LOAD = StallCategory.LOAD
@@ -356,40 +357,17 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             wl_cur = s
                             break
             wlimit = wl_cur if wl_cur >= 0 else _INF - 1
-            m_used = i_used = f_used = b_used = 0
+            port_state = 0
             i = head = hr
             while i < rlen:
                 seq = rdy[i]
                 if seq > wlimit:
                     break                      # out of window
-                code = port_code[seq]
-                if code == 1:                  # ALU: I port, M fallback
-                    if i_used < i_ports:
-                        i_used += 1
-                    elif m_used < m_ports:
-                        m_used += 1
-                    else:
-                        i += 1                 # starved: skip, keep
-                        continue
-                elif code == 0:                # MEM
-                    if m_used < m_ports:
-                        m_used += 1
-                    else:
-                        i += 1
-                        continue
-                elif code == 2:                # FP / MULDIV
-                    if f_used < f_ports:
-                        f_used += 1
-                    else:
-                        i += 1
-                        continue
-                elif code == 3:                # BR
-                    if b_used < b_ports:
-                        b_used += 1
-                    else:
-                        i += 1
-                        continue
-                # code 4: slot-only, no port budget — always issues.
+                next_state = table[port_state + port_code[seq]]
+                if next_state < 0:
+                    i += 1                     # starved: skip, keep
+                    continue
+                port_state = next_state
                 if i == hr:
                     # Nothing skipped below: pure head advance, no
                     # delete — the overwhelmingly common case.

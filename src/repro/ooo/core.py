@@ -25,12 +25,12 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import List, Optional
 
-from ..isa.opcodes import FUClass
 from ..isa.registers import NUM_REGS
 from ..isa.trace import Trace, TraceEntry
 from ..machine import MachineConfig
 from ..pipeline.base import BaseCore
 from ..pipeline.stats import SimStats, StallCategory
+from ..resources import QUEUE_CODE
 from .columnar import run_columnar
 
 #: Sentinel wake-up target meaning "no in-flight completion at all".
@@ -58,16 +58,6 @@ class OutOfOrderCore(BaseCore):
 
     model_name = "ooo"
 
-    #: Which decentralized queue an FU class occupies (realistic model).
-    _QUEUE_OF = {
-        FUClass.MEM: "mem",
-        FUClass.ALU: "int",
-        FUClass.BR: "int",
-        FUClass.NONE: "int",
-        FUClass.FP: "fp",
-        FUClass.MULDIV: "fp",
-    }
-
     def __init__(self, trace: Trace, config: Optional[MachineConfig] = None,
                  decentralized_queues: Optional[int] = None,
                  ideal: bool = True, check: bool = False, tracer=None,
@@ -92,9 +82,6 @@ class OutOfOrderCore(BaseCore):
         #: prior value (conventional handling of predicated code [24]).
         self.ideal = ideal
         self.wakeup_delay = 0 if ideal else 1
-        if decentralized_queues:
-            self.model_name = "ooo-realistic"
-            self.stats.model = self.model_name
 
     # ------------------------------------------------------------------
 
@@ -166,8 +153,7 @@ class OutOfOrderCore(BaseCore):
         commit_ptr = 0                    # next seq to commit
         now = 0
         queue_cap = self.decentralized_queues
-        queue_fill = {"mem": 0, "int": 0, "fp": 0}
-        queue_of = self._QUEUE_OF
+        queue_fill = [0, 0, 0]            # indexed by QUEUE_CODE
         # A zero-issue scan over an unchanged window is a pure poll: its
         # outcome cannot change until the earliest blocking producer
         # completes (a squash needs an issue, and newly dispatched
@@ -198,7 +184,7 @@ class OutOfOrderCore(BaseCore):
                 seq = dispatch_ptr
                 fu = d_ifu[seq]
                 if queue_cap is not None:
-                    queue = queue_of[fu]
+                    queue = QUEUE_CODE[fu]
                     if queue_fill[queue] >= queue_cap:
                         break             # in-order dispatch blocks
                     queue_fill[queue] += 1
@@ -289,7 +275,7 @@ class OutOfOrderCore(BaseCore):
                     rob_entry.ready = ready
                     value_ready[seq] = ready + wakeup_delay
                     if queue_cap is not None:
-                        queue_fill[queue_of[d_ifu[seq]]] -= 1
+                        queue_fill[QUEUE_CODE[d_ifu[seq]]] -= 1
                     issued += 1
                     if d_branch[seq] and frontend.resolve(
                             seq, d_pc[seq], d_taken[seq], now):
@@ -325,7 +311,7 @@ class OutOfOrderCore(BaseCore):
                         kept.append(rob_entry)
                         continue
                     if queue_cap is not None and not rob_entry.issued:
-                        queue_fill[queue_of[d_ifu[rob_entry.seq]]] -= 1
+                        queue_fill[QUEUE_CODE[d_ifu[rob_entry.seq]]] -= 1
                     value_ready[rob_entry.seq] = 0
                 rob = kept
                 waiting = [e for e in waiting if e.seq <= squash_after]

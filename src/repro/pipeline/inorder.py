@@ -7,7 +7,9 @@ gshare-driven front end.  Long stalls are fast-forwarded when neither the
 front end nor the memory system has intervening work, which does not change
 cycle counts — only wall-clock simulation time.  The inner loop reads the
 decoded-trace cache (:mod:`repro.isa.decoded`) instead of per-entry
-properties.
+properties, and each issue claims its port with one step of
+:func:`~repro.resources.issue_table`, the ``PortTracker`` rule as a table
+(the width is part of the port state, so a refused step ends the group).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Optional
 from ..isa.columns import columns_of
 from ..isa.trace import Trace
 from ..machine import MachineConfig
+from ..resources import issue_table
 from .base import BaseCore
 from .stats import SimStats, StallCategory
 
@@ -37,12 +40,7 @@ class InOrderCore(BaseCore):
         dec = trace.decoded
         n = dec.n
         frontend = self.frontend
-        ports = self.config.ports
-        width = ports.width
-        m_ports = ports.m_ports
-        i_ports = ports.i_ports
-        f_ports = ports.f_ports
-        b_ports = ports.b_ports
+        table = issue_table(self.config.ports)  # the dispersal rule
         port_code = columns_of(dec).port_code  # shared per-trace column
         reg_ready = self.reg_ready
         pending = self.load_miss_pending
@@ -82,7 +80,7 @@ class InOrderCore(BaseCore):
             # so the guard re-arms itself.
             if frontend.fetched_until < n:
                 frontend.tick(now, ptr)
-            m_used = i_used = f_used = b_used = 0
+            port_state = 0
             issued = 0
             reason = None
             wait_until = now + 1
@@ -90,26 +88,12 @@ class InOrderCore(BaseCore):
 
             while ptr < frontend.fetched_until:
                 i = ptr
-                code = port_code[i]
-                if issued >= width:
+                # The port is claimed eagerly: every path that does not
+                # issue ends the cycle with ``break``.
+                port_state = table[port_state + port_code[i]]
+                if port_state < 0:
                     reason = OTHER
                     break
-                if code == 0:          # MEM
-                    if m_used >= m_ports:
-                        reason = OTHER
-                        break
-                elif code == 1:        # ALU: I port with M fallback
-                    if i_used >= i_ports and m_used >= m_ports:
-                        reason = OTHER
-                        break
-                elif code == 2:        # FP / MULDIV
-                    if f_used >= f_ports:
-                        reason = OTHER
-                        break
-                elif code == 3:        # BR
-                    if b_used >= b_ports:
-                        reason = OTHER
-                        break
 
                 stall = 0
                 load_wait = False
@@ -159,17 +143,6 @@ class InOrderCore(BaseCore):
                     waw_break = True
                     break
 
-                if code == 0:
-                    m_used += 1
-                elif code == 1:
-                    if i_used < i_ports:
-                        i_used += 1
-                    else:
-                        m_used += 1
-                elif code == 2:
-                    f_used += 1
-                elif code == 3:
-                    b_used += 1
                 for d in d_dests[i]:
                     reg_ready[d] = done
                     pending[d] = done if l1_miss else 0

@@ -6,11 +6,18 @@ issue per cycle onto M (memory), I (integer), F (floating point) and B
 (branch) ports.  Memory operations need an M port; integer ALU operations
 prefer an I port but can fall back to M; multiplies, divides and floating
 point use F ports; branches use B ports.
+
+:class:`PortTracker` is the only statement of that rule.  The compiler,
+the verifier and the ``--slow`` scalar loops call it; the production
+loops step :func:`issue_table`, the same tracker as a transition table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import attrgetter
+from typing import Tuple
 
 from .isa.opcodes import FUClass
 
@@ -79,15 +86,55 @@ class PortTracker:
             self.b_used += 1
 
 
-#: Small-int port class per FUClass for cores that inline the tracker
-#: into their hot loops: 0 = MEM, 1 = ALU (I port with M fallback),
-#: 2 = FP/MULDIV, 3 = BR, 4 = slot-only (``FUClass.NONE``).  Mirrors
-#: :meth:`PortTracker.can_issue` / :meth:`PortTracker.issue` dispatch.
-PORT_CODE = {
+#: Column code of each FUClass: its ordinal.  It carries no dispersal
+#: rule; :func:`issue_table` indexes its rows by it, so FP and MULDIV
+#: share the F ports only because :class:`PortTracker` says so.
+PORT_CODE = {fu: code for code, fu in enumerate(FUClass)}
+
+#: Decentralized issue queue of each FUClass on the realistic OOO model:
+#: 0 = memory queue, 1 = integer queue (ALU/BR/slot-only), 2 = FP queue
+#: (FP and MULDIV).
+QUEUE_CODE = {
     FUClass.MEM: 0,
     FUClass.ALU: 1,
+    FUClass.BR: 1,
+    FUClass.NONE: 1,
     FUClass.FP: 2,
     FUClass.MULDIV: 2,
-    FUClass.BR: 3,
-    FUClass.NONE: 4,
 }
+
+
+@lru_cache(maxsize=16)
+def issue_table(model: PortModel) -> Tuple[int, ...]:
+    """:class:`PortTracker` as a transition table over port states.
+
+    Starting from the empty cycle, every reachable tracker state is
+    visited breadth-first and asked about every FU class.  State ``s``
+    (stored premultiplied by the number of classes, so the empty cycle
+    is 0) and class ``fu`` give ``table[s + PORT_CODE[fu]]``: the state
+    after ``tracker.issue(fu)``, or -1 where ``can_issue`` refuses.  A
+    loop keeps one ``port_state`` int per cycle and steps it with one
+    add and one subscript, so the tracker stays the only statement of
+    the dispersal rule.
+    """
+    classes = tuple(FUClass)
+    tracker = PortTracker(model)
+    counters = attrgetter("issued", "m_used", "i_used", "f_used", "b_used")
+    empty = counters(tracker)
+    index = {empty: 0}
+    states = [empty]
+    table = []
+    for state in states:             # grows as new states are found
+        for fu in classes:
+            (tracker.issued, tracker.m_used, tracker.i_used,
+             tracker.f_used, tracker.b_used) = state
+            if not tracker.can_issue(fu):
+                table.append(-1)
+                continue
+            tracker.issue(fu)
+            after = counters(tracker)
+            if after not in index:
+                index[after] = len(states) * len(classes)
+                states.append(after)
+            table.append(index[after])
+    return tuple(table)

@@ -104,6 +104,29 @@ def test_port_tracker_alu_spills_to_m_ports():
         assert tracker.can_issue(FUClass.ALU)
         tracker.issue(FUClass.ALU)
     assert not tracker.can_issue(FUClass.ALU)
+    # Table 2's default model: the third ALU spills to an M port, so
+    # only three of four later MEMs fit.
+    tracker = PortTracker(PortModel())
+    fits = []
+    for fu in [FUClass.ALU] * 3 + [FUClass.MEM] * 4:
+        fits.append(tracker.can_issue(fu))
+        if fits[-1]:
+            tracker.issue(fu)
+    assert fits == [True] * 6 + [False]
+    assert (tracker.i_used, tracker.m_used) == (2, 4)
+
+
+#: Table 2's per-cycle limits on the default PortModel (6-issue; 4 M,
+#: 2 I, 2 F and 3 B ports): classes issued in turn, and how many fit.
+#: FP and MULDIV share the F ports; a slot-only entry meets only the
+#: width.
+TABLE2_LIMITS = [
+    ((FUClass.MEM,), 4),
+    ((FUClass.ALU,), 6),
+    ((FUClass.FP, FUClass.MULDIV), 2),
+    ((FUClass.BR,), 3),
+    ((FUClass.NONE,), 6),
+]
 
 
 def test_port_tracker_rejects_overflow():
@@ -111,6 +134,14 @@ def test_port_tracker_rejects_overflow():
     tracker.issue(FUClass.FP)
     with pytest.raises(ValueError):
         tracker.issue(FUClass.FP)
+    for classes, limit in TABLE2_LIMITS:
+        tracker = PortTracker(PortModel())
+        for k in range(limit):
+            tracker.issue(classes[k % len(classes)])
+        for fu in classes:
+            assert not tracker.can_issue(fu), (classes, fu)
+            with pytest.raises(ValueError):
+                tracker.issue(fu)
 
 
 def mixed_program():

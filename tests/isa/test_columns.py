@@ -9,9 +9,9 @@ branches.
 import pytest
 
 from repro.harness.experiment import TraceCache
-from repro.isa.columns import QUEUE_CODE, columns_of
+from repro.isa.columns import columns_of
 from repro.isa.opcodes import FUClass
-from repro.resources import PORT_CODE
+from repro.resources import PORT_CODE, QUEUE_CODE
 
 
 @pytest.fixture(scope="module")

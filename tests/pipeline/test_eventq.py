@@ -26,8 +26,10 @@ arrival/budget interleavings (``docs/architecture.md`` §13).
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.isa.opcodes import FUClass
 from repro.pipeline import WHEEL, EventCalendar
 from repro.pipeline.eventq import WHEEL_MASK
+from repro.resources import PORT_CODE, PortModel, PortTracker, issue_table
 
 
 class TestWheel:
@@ -191,55 +193,36 @@ class TestCalendarProperties:
 # Issue-select discipline: head-pointer ready queue vs oldest-first scan
 # ---------------------------------------------------------------------------
 
-#: Port classes as in repro.resources.PORT_CODE: MEM, ALU, FP, BR,
-#: slot-only.
-CODES = (0, 1, 2, 3, 4)
-
-
-def _scalar_select(ready, codes, budgets, width, wlimit):
-    """Oldest-first scalar reference: scan every ready seq ascending."""
-    m_ports, i_ports, f_ports, b_ports = budgets
-    m = i = f = b = 0
+def _scalar_select(ready, fus, model, wlimit):
+    """Oldest-first scalar reference: scan every ready seq ascending,
+    asking the port tracker."""
+    tracker = PortTracker(model)
     picked = []
     for seq in sorted(ready):
         if seq > wlimit:
             break
-        code = codes[seq]
-        if code == 1:
-            if i < i_ports:
-                i += 1
-            elif m < m_ports:
-                m += 1
-            else:
-                continue
-        elif code == 0:
-            if m >= m_ports:
-                continue
-            m += 1
-        elif code == 2:
-            if f >= f_ports:
-                continue
-            f += 1
-        elif code == 3:
-            if b >= b_ports:
-                continue
-            b += 1
+        fu = fus[seq]
+        if not tracker.can_issue(fu):
+            continue
+        tracker.issue(fu)
         picked.append(seq)
-        if len(picked) >= width:
+        if len(picked) >= model.width:
             break
     return picked
 
 
-def _queue_select(rdy, hr, codes, budgets, width, wlimit):
+def _queue_select(rdy, hr, codes, model, wlimit):
     """The OOO kernel's queue discipline, verbatim shape.
 
     ``rdy[hr:]`` is the live ascending region; issued entries advance
     the head when they sit at it and are mid-deleted when a
-    port-starved entry was skipped below the scan point.  Returns the
-    picked seqs and the new head.
+    port-starved entry was skipped below the scan point.  Ports are
+    claimed by stepping :func:`~repro.resources.issue_table` with
+    ``codes`` (``PORT_CODE`` per seq).  Returns the picked seqs and the
+    new head.
     """
-    m_ports, i_ports, f_ports, b_ports = budgets
-    m = i_used = f = b = 0
+    table = issue_table(model)
+    port_state = 0
     picked = []
     i = hr
     rlen = len(rdy)
@@ -247,40 +230,18 @@ def _queue_select(rdy, hr, codes, budgets, width, wlimit):
         seq = rdy[i]
         if seq > wlimit:
             break
-        code = codes[seq]
-        if code == 1:
-            if i_used < i_ports:
-                i_used += 1
-            elif m < m_ports:
-                m += 1
-            else:
-                i += 1
-                continue
-        elif code == 0:
-            if m < m_ports:
-                m += 1
-            else:
-                i += 1
-                continue
-        elif code == 2:
-            if f < f_ports:
-                f += 1
-            else:
-                i += 1
-                continue
-        elif code == 3:
-            if b < b_ports:
-                b += 1
-            else:
-                i += 1
-                continue
+        next_state = table[port_state + codes[seq]]
+        if next_state < 0:
+            i += 1
+            continue
+        port_state = next_state
         if i == hr:
             i = hr = hr + 1
         else:
             del rdy[i]
             rlen -= 1
         picked.append(seq)
-        if len(picked) >= width:
+        if len(picked) >= model.width:
             break
     # compaction, as in the kernel
     if hr:
@@ -296,7 +257,7 @@ def _queue_select(rdy, hr, codes, budgets, width, wlimit):
 @st.composite
 def issue_scenarios(draw):
     n = draw(st.integers(min_value=1, max_value=120))
-    codes = draw(st.lists(st.sampled_from(CODES), min_size=n, max_size=n))
+    fus = draw(st.lists(st.sampled_from(FUClass), min_size=n, max_size=n))
     # per-cycle arrival batches partition 0..n-1 in ascending order
     # (dispatch order); wake-ups out of seq order are injected below.
     arrivals = []
@@ -314,14 +275,15 @@ def issue_scenarios(draw):
                draw(st.integers(min_value=1, max_value=2)),
                draw(st.integers(min_value=1, max_value=2)))
     width = draw(st.integers(min_value=1, max_value=6))
-    return codes, arrivals, budgets, width
+    return fus, arrivals, PortModel(width, *budgets)
 
 
 class TestIssueSelectOrder:
     @given(issue_scenarios(), st.randoms(use_true_random=False))
     @settings(max_examples=80, deadline=None)
     def test_queue_matches_scalar_oldest_first(self, scenario, rng):
-        codes, arrivals, budgets, width = scenario
+        fus, arrivals, model = scenario
+        codes = [PORT_CODE[fu] for fu in fus]
         from bisect import insort
 
         rdy = []
@@ -345,10 +307,8 @@ class TestIssueSelectOrder:
                     ready_set.add(seq)
             wlimit = (min(ready_set) + rng.randrange(0, 64)
                       if ready_set and rng.random() < 0.3 else 1 << 60)
-            expect = _scalar_select(ready_set, codes, budgets, width,
-                                    wlimit)
-            got, hr = _queue_select(rdy, hr, codes, budgets, width,
-                                    wlimit)
+            expect = _scalar_select(ready_set, fus, model, wlimit)
+            got, hr = _queue_select(rdy, hr, codes, model, wlimit)
             assert got == expect, (
                 "queue discipline diverged from the oldest-first "
                 f"scalar scan: {got} != {expect}")
@@ -360,7 +320,7 @@ class TestIssueSelectOrder:
             ready_set.add(seq)
         while ready_set:
             expect = sorted(ready_set)[:9]
-            got, hr = _queue_select(rdy, hr, codes, (9, 9, 9, 9), 9,
-                                    1 << 60)
+            got, hr = _queue_select(rdy, hr, codes,
+                                    PortModel(9, 9, 9, 9, 9), 1 << 60)
             assert got == expect
             ready_set.difference_update(got)

@@ -17,9 +17,9 @@ drives the same adversarial
 program generator as ``test_random_programs`` — bounded loops of random
 ALU/memory/predicate bodies, with and without RESTART directives — and
 draws the machine configuration next to the program (structure sizes,
-the Fig. 7 hierarchies, refill penalties), so the contract is probed on
-arbitrary programs and machines, not just the packaged workloads on the
-default configuration.
+the Fig. 7 hierarchies, the issue ports, refill penalties), so the
+contract is probed on arbitrary programs and machines, not just the
+packaged workloads on the default configuration.
 """
 
 from dataclasses import replace
@@ -39,6 +39,7 @@ from repro.memory import CacheConfig
 from repro.memory.configs import HIERARCHIES
 from repro.multipass import core as multipass_core
 from repro.ooo import core as ooo_core
+from repro.resources import PortModel
 from repro.telemetry import Timeline
 from repro.workloads import ALL_WORKLOADS
 from tests.conftest import TWO_LINE_L1I
@@ -60,26 +61,35 @@ MULTIPASS_MODELS = ("multipass", "runahead", "twopass",
                     "multipass-hwrestart")
 
 
-def _machine(hierarchy, l1i, mshrs, window, rob, queue, asc, mispredict,
-             flush):
+def _machine(hierarchy, l1i, ports, mshrs, window, rob, queue, asc,
+             mispredict, flush):
     hierarchy = HIERARCHIES[hierarchy]()
     return MachineConfig(
         hierarchy=replace(hierarchy, l1i=l1i or hierarchy.l1i,
                           max_outstanding_misses=mshrs),
-        ooo_window=window, ooo_rob=rob, multipass_queue_size=queue,
-        asc_entries=asc, mispredict_penalty=mispredict,
-        flush_penalty=flush)
+        ports=ports, ooo_window=window, ooo_rob=rob,
+        multipass_queue_size=queue, asc_entries=asc,
+        mispredict_penalty=mispredict, flush_penalty=flush)
 
+
+#: A 3-issue machine with one port of each kind.  Programs are compiled
+#: for Table 2's ports, so their issue groups overflow it and every loop
+#: reaches its port refusals (the in-order loop never refuses a port on
+#: the default model).
+NARROW_PORTS = PortModel(width=3, m_ports=1, i_ports=1, f_ports=1,
+                         b_ports=1)
 
 #: Machine configurations around the structure the kernels hard-code
 #: (the 64-slot event wheel, ready-queue compaction at 32 entries): OOO
 #: window and ROB, multipass queue, ASC and MSHR sizes, the three Fig. 7
 #: hierarchies with their own L1I or a 2-line one (resident and
-#: non-resident code), and the branch and value-flush refill penalties.
+#: non-resident code), Table 2's issue ports or narrow ones, and the
+#: branch and value-flush refill penalties.
 configs = st.builds(
     _machine,
     hierarchy=st.sampled_from(sorted(HIERARCHIES)),
     l1i=st.sampled_from((None, TWO_LINE_L1I)),
+    ports=st.sampled_from((PortModel(), NARROW_PORTS)),
     mshrs=st.sampled_from((1, 2, 4, 16)),
     window=st.sampled_from((4, 16, 33, 128)),
     rob=st.sampled_from((8, 32, 65, 256)),

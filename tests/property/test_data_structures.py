@@ -6,10 +6,12 @@ from hypothesis import example, given, settings
 from repro.branch import GsharePredictor
 from repro.compiler import tarjan_scc
 from repro.isa import to_int32
+from repro.isa.opcodes import FUClass
 from repro.memory import Cache, CacheConfig, MSHRFile
 from repro.multipass import (HIT, HIT_INVALID, INVALID, MISS,
                              MISS_SPECULATIVE, AdvanceStoreCache,
                              ResultStore)
+from repro.resources import PORT_CODE, PortModel, PortTracker, issue_table
 
 
 class TestInt32:
@@ -258,6 +260,44 @@ class TestResultStoreProperties:
                     ready, sbit, value)
             assert (rs.writes, rs.reads, rs.merges) == (writes, reads,
                                                         merges)
+
+
+port_models = st.builds(
+    PortModel, width=st.integers(1, 8), m_ports=st.integers(1, 4),
+    i_ports=st.integers(1, 4), f_ports=st.integers(1, 4),
+    b_ports=st.integers(1, 4))
+
+
+class TestIssueTableProperties:
+    @given(port_models,
+           st.lists(st.lists(st.sampled_from(FUClass), max_size=12),
+                    min_size=1, max_size=6))
+    def test_matches_port_tracker(self, model, cycles):
+        """Stepping the table is driving the tracker.
+
+        Each cycle starts at state 0 and skips a refused class, as the
+        OOO scan does.  In every state reached, the table refuses a
+        class exactly when ``can_issue`` does, so each accepted step
+        lands where ``issue`` takes the tracker.
+        """
+        table = issue_table(model)
+        tracker = PortTracker(model)
+
+        def agree(state):
+            for fu in FUClass:
+                refused = table[state + PORT_CODE[fu]] < 0
+                assert refused == (not tracker.can_issue(fu)), (state, fu)
+
+        for cycle in cycles:
+            tracker.reset()
+            state = 0
+            agree(state)
+            for fu in cycle:
+                after = table[state + PORT_CODE[fu]]
+                if after >= 0:
+                    tracker.issue(fu)
+                    state = after
+                    agree(state)
 
 
 class TestTarjanProperties:
