@@ -2,8 +2,9 @@
 # Full verification gate: static lint -> type check -> tier-1 tests ->
 # coverage floor -> workload verifier -> differential equivalence over
 # the two fastest workloads -> cycle-bound audit -> parallel sweep and
-# result cache -> traced perfbench passes (per-layer ledger and output
-# digests) -> telemetry exports -> every example and script.
+# result cache (with its lifetime counters) -> traced perfbench passes
+# of all three workloads (per-layer ledger and output digests) ->
+# telemetry exports -> every example and script.
 #
 # ruff, mypy and pytest-cov are optional locally (a missing one marks
 # its gate SKIPPED, so the script stays runnable anywhere); under
@@ -119,10 +120,20 @@ python -m repro audit --smoke --strict || fail
 step "repro sweep --smoke (parallel engine + result cache end-to-end)"
 smoke_cache="$(mktemp -d)"
 # Cold pass simulates and populates the cache; warm pass must serve
-# every cell from disk.
+# every cell from disk.  The smoke grid is 2 models x 2 workloads, so
+# the lifetime counters the two sweeps fold must then read 4 misses
+# and 4 stores (cold) and 4 hits (warm).
 python -m repro sweep --smoke --results-cache "$smoke_cache" \
     || fail
 python -m repro sweep --smoke --results-cache "$smoke_cache" \
+    || fail
+python -m repro cache stats --json --results-cache "$smoke_cache" \
+    | python -c '
+import json, sys
+life = json.load(sys.stdin)["lifetime"]
+want = {"hits": 4, "misses": 4, "stores": 4, "errors": 0}
+print(f"lifetime counters: {life}")
+sys.exit(life != want)' \
     || fail
 rm -rf "$smoke_cache"
 
@@ -154,6 +165,12 @@ step "perfbench cold-sweep ledger (full-scale outputs, prep layers)"
 # of every model over every trace the executor produces, and the
 # isa.execute / isa.decode / isa.columns expectations of the ledger.
 perfbench_gate cold-sweep
+
+step "perfbench warm-figures ledger (cache hits only, figure texts)"
+# The six figure drivers at scale 1.0 on a filled results cache: hits
+# only (no miss, store or kernel call) and the six figure-text digests.
+# The first run per source tree fills the cache (25-45 s), then ~1 s.
+perfbench_gate warm-figures
 
 step "repro trace / profile (telemetry round-trip)"
 trace_dir="$(mktemp -d)"

@@ -25,7 +25,8 @@ each worker re-deriving them.  Fault handling is two-layered:
 When a :class:`~repro.harness.results_cache.ResultsCache` is supplied,
 cells whose key is already on disk are served without simulation and
 fresh results are persisted, so a warm second sweep performs zero
-simulations.
+simulations.  The sweep folds the cache's lookup and store counts into
+its lifetime counters once, at the end.
 """
 
 from __future__ import annotations
@@ -396,45 +397,55 @@ def sweep(models: Sequence[str],
 
     keys: Dict[Tuple[str, str], str] = {}
     outstanding: List[CellSpec] = []
-    for spec in specs:
-        cell = (spec.workload, spec.model)
-        if store is not None:
-            keys[cell] = store.key_for(spec.workload, spec.model,
-                                       spec.scale, spec.compile_options,
-                                       spec.config, spec.max_instructions)
-            if not telemetry and not audit:
-                stats = store.get(keys[cell])
-                if stats is not None:
-                    matrix.results[cell] = stats
-                    report.cache_hits += 1
-                    continue
-        outstanding.append(spec)
-
-    results: Dict[Tuple[str, str], CellResult] = {}
-    for attempt in range(1, retries + 2):
-        if not outstanding:
-            break
-        failed: List[CellSpec] = []
-        for spec, result in zip(outstanding,
-                                _run_round(outstanding, jobs, runner,
-                                           timeout)):
-            result.attempts = attempt
-            results[(spec.workload, spec.model)] = result
-            if not result.ok:
-                failed.append(spec)
-        outstanding = failed if attempt <= retries else []
-
-    for cell, result in results.items():
-        if result.ok:
-            matrix.results[cell] = result.stats
-            report.simulated += 1
-            if result.telemetry is not None:
-                report.telemetry[cell] = result.telemetry
+    if store is not None:
+        # Every cell shares these two; fingerprint them once.
+        options_fp = fingerprint(compile_options)
+        config_fp = fingerprint(config)
+    try:
+        for spec in specs:
+            cell = (spec.workload, spec.model)
             if store is not None:
-                store.put(keys[cell], result.stats)
-                report.cache_stores += 1
-        else:
-            report.failures.append(result)
+                keys[cell] = store.key_for(spec.workload, spec.model,
+                                           spec.scale, options_fp,
+                                           config_fp, spec.max_instructions)
+                if not telemetry and not audit:
+                    stats = store.get(keys[cell])
+                    if stats is not None:
+                        matrix.results[cell] = stats
+                        report.cache_hits += 1
+                        continue
+            outstanding.append(spec)
+
+        results: Dict[Tuple[str, str], CellResult] = {}
+        for attempt in range(1, retries + 2):
+            if not outstanding:
+                break
+            failed: List[CellSpec] = []
+            for spec, result in zip(outstanding,
+                                    _run_round(outstanding, jobs, runner,
+                                               timeout)):
+                result.attempts = attempt
+                results[(spec.workload, spec.model)] = result
+                if not result.ok:
+                    failed.append(spec)
+            outstanding = failed if attempt <= retries else []
+
+        for cell, result in results.items():
+            if result.ok:
+                matrix.results[cell] = result.stats
+                report.simulated += 1
+                if result.telemetry is not None:
+                    report.telemetry[cell] = result.telemetry
+                if store is not None:
+                    store.put(keys[cell], result.stats)
+                    report.cache_stores += 1
+            else:
+                report.failures.append(result)
+    finally:
+        # One fold of this sweep's lookups and stores into the
+        # lifetime counters, even when a put raised.
+        if store is not None:
+            store.flush()
 
     report.elapsed = time.perf_counter() - start
     return report

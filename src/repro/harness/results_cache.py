@@ -18,10 +18,13 @@ small on very large sweeps)::
 Corrupt or unreadable entries are treated as misses and removed, so a
 killed writer can never poison later sweeps; writes go through a
 temporary file and ``os.replace`` so concurrent readers only ever see
-complete entries.  The same discipline (plus an advisory ``flock``)
-protects the lifetime-counter sidecar ``_stats.json``, so concurrent
-``repro sweep`` processes can share one cache directory without
-corrupting it.
+complete entries.  A lookup or a store only counts into the instance's
+:class:`CacheStats`; :meth:`ResultsCache.flush` folds those counts into
+the lifetime-counter sidecar ``_stats.json`` once per sweep, under an
+advisory ``flock`` and with the same atomic-rename discipline, so
+concurrent ``repro sweep`` processes can share one cache directory
+without corrupting it or losing counts.  A killed process loses its
+unfolded counts, never an entry.
 """
 
 from __future__ import annotations
@@ -116,10 +119,15 @@ def source_digest() -> str:
 
 
 def cell_key(workload: str, model: str, scale: float,
-             compile_options: object, config: object,
+             options_fp: str, config_fp: str,
              max_instructions: int,
              tree_digest: Optional[str] = None) -> str:
-    """Content-addressed key for one (workload, model, config) cell."""
+    """Content-addressed key for one (workload, model, config) cell.
+
+    ``options_fp`` and ``config_fp`` are the :func:`fingerprint` of the
+    compile options and of the machine config; a sweep computes them
+    once for all of its cells.
+    """
     parts = "|".join([
         f"v{CACHE_FORMAT_VERSION}",
         tree_digest if tree_digest is not None else source_digest(),
@@ -127,8 +135,8 @@ def cell_key(workload: str, model: str, scale: float,
         repr(model),
         repr(float(scale)),
         repr(int(max_instructions)),
-        fingerprint(compile_options),
-        fingerprint(config),
+        options_fp,
+        config_fp,
     ])
     return hashlib.sha256(parts.encode()).hexdigest()
 
@@ -159,8 +167,9 @@ class ResultsCache:
     """Sharded on-disk store mapping cell keys to pickled stats."""
 
     #: Lifetime hit/miss counters persisted in the cache root, so
-    #: ``repro cache stats`` can report the hit rate across sessions
-    #: (per-instance :class:`CacheStats` dies with the process).
+    #: ``repro cache stats`` can report the hit rate across sessions.
+    #: The per-instance :class:`CacheStats` is folded in once per sweep
+    #: (:meth:`flush`); counts a killed process had not folded are lost.
     _STATS_FILE = "_stats.json"
     #: Sidecar lock serializing read-modify-write of the stats file.
     _LOCK_FILE = "_stats.lock"
@@ -173,6 +182,8 @@ class ResultsCache:
         self.tree_digest = (tree_digest if tree_digest is not None
                             else source_digest())
         self.stats = CacheStats()
+        #: The part of ``stats`` already folded into ``_STATS_FILE``.
+        self._folded = CacheStats().to_dict()
 
     def _lifetime(self) -> dict:
         """Persisted counters; corrupt/foreign contents reset to zero."""
@@ -253,10 +264,31 @@ class ResultsCache:
         finally:
             self._unlock_stats(lock)
 
+    def flush(self) -> None:
+        """Fold the counts of ``stats`` not yet folded into the sidecar.
+
+        The delta is taken and the folded mark advanced under the
+        sidecar lock, so threads sharing this instance never fold the
+        same counts twice; the delta then goes through
+        :meth:`_bump_lifetime`.  A zero delta writes nothing.
+        """
+        if self.stats.to_dict() == self._folded:
+            return
+        lock = self._lock_stats()
+        try:
+            session = self.stats.to_dict()
+            deltas = {key: session[key] - self._folded[key]
+                      for key in self._LIFETIME_KEYS}
+            self._folded = session
+        finally:
+            self._unlock_stats(lock)
+        if any(deltas.values()):
+            self._bump_lifetime(**deltas)
+
     def key_for(self, workload: str, model: str, scale: float,
-                compile_options: object, config: object,
+                options_fp: str, config_fp: str,
                 max_instructions: int) -> str:
-        return cell_key(workload, model, scale, compile_options, config,
+        return cell_key(workload, model, scale, options_fp, config_fp,
                         max_instructions, tree_digest=self.tree_digest)
 
     def _path(self, key: str) -> Path:
@@ -270,21 +302,18 @@ class ResultsCache:
                 stats = pickle.load(handle)
         except FileNotFoundError:
             self.stats.misses += 1
-            self._bump_lifetime(misses=1)
             return None
         except Exception:
             # Truncated/corrupt entry (e.g. a writer killed mid-dump
             # before the format grew atomic writes): drop it and miss.
             self.stats.misses += 1
             self.stats.errors += 1
-            self._bump_lifetime(misses=1, errors=1)
             try:
                 path.unlink()
             except OSError:
                 pass
             return None
         self.stats.hits += 1
-        self._bump_lifetime(hits=1)
         return stats
 
     def put(self, key: str, stats: object) -> None:
@@ -303,7 +332,6 @@ class ResultsCache:
                 pass
             raise
         self.stats.stores += 1
-        self._bump_lifetime(stores=1)
 
     def entries(self) -> Iterator[Path]:
         yield from sorted(self.root.glob("??/*.pkl"))
@@ -328,7 +356,12 @@ class ResultsCache:
         return removed
 
     def describe_dict(self) -> dict:
-        """Machine-readable cache report (``repro cache stats --json``)."""
+        """Machine-readable cache report (``repro cache stats --json``).
+
+        Folds this instance's counts first, so ``lifetime`` includes
+        them.
+        """
+        self.flush()
         count = 0
         size = 0
         for path in self.entries():

@@ -1,23 +1,47 @@
 """Results-cache bookkeeping shared by concurrent sweeps.
 
 Covers the ``flock``-serialized lifetime counters under concurrent
-writers, corrupt-sidecar recovery, and the human/machine size rendering
-behind ``repro cache stats``.
+writers, their fold into the sidecar once per sweep, corrupt-sidecar
+recovery, and the human/machine size rendering behind ``repro cache
+stats``.
 """
 
 import json
+import sys
 import threading
 
 import pytest
 
 from repro.__main__ import main as cli_main
+from repro.harness.parallel import sweep
 from repro.harness.results_cache import ResultsCache, human_bytes
+from repro.pipeline import SimStats
 
 TD = "cache-test-digest"
+
+#: 3 models x 2 workloads: the six cells of the fold tests' sweeps.
+FOLD_MODELS = ("inorder", "multipass", "ooo")
+FOLD_WORKLOADS = ("vpr", "parser")
 
 
 def _key(i: int) -> str:
     return f"{i:064x}"
+
+
+def _stand_in(spec):
+    """A runner that simulates nothing: one distinct stats per cell."""
+    return SimStats(spec.model, spec.workload,
+                    cycles=len(spec.model) * len(spec.workload))
+
+
+def _sweep(cache):
+    return sweep(FOLD_MODELS, FOLD_WORKLOADS, scale=0.05, jobs=1,
+                 results_cache=cache, runner=_stand_in)
+
+
+def _counts(hits=0, misses=0, stores=0, errors=0):
+    return {"hits": hits, "misses": misses, "stores": stores,
+            "errors": errors}
 
 
 class TestConcurrentCounters:
@@ -44,6 +68,90 @@ class TestConcurrentCounters:
         b._bump_lifetime(stores=3)
         assert a._lifetime()["stores"] == 5
         assert b._lifetime()["stores"] == 5
+
+
+class TestFoldOncePerSweep:
+    def test_get_and_put_leave_the_sidecar_unwritten(self, tmp_path):
+        cache = ResultsCache(tmp_path, tree_digest=TD)
+        cache.put(_key(0), b"payload")
+        assert cache.get(_key(0)) == b"payload"
+        assert cache.get(_key(1)) is None
+        assert not (tmp_path / cache._STATS_FILE).exists()
+        assert cache.stats.to_dict() == _counts(hits=1, misses=1,
+                                                stores=1)
+
+    def test_warm_sweep_folds_once(self, tmp_path, monkeypatch):
+        cache = ResultsCache(tmp_path, tree_digest=TD)
+        _sweep(cache)
+        bumps = []
+        bump = ResultsCache._bump_lifetime
+
+        def counted(self, **deltas):
+            bumps.append(deltas)
+            bump(self, **deltas)
+
+        monkeypatch.setattr(ResultsCache, "_bump_lifetime", counted)
+        report = _sweep(cache)
+        assert (report.cache_hits, report.simulated) == (6, 0)
+        assert bumps == [_counts(hits=6)]
+        assert cache._lifetime() == cache.stats.to_dict() == _counts(
+            hits=6, misses=6, stores=6)
+
+    def test_second_instance_adds_to_the_ledger(self, tmp_path):
+        _sweep(ResultsCache(tmp_path, tree_digest=TD))
+        warm = ResultsCache(tmp_path, tree_digest=TD)
+        _sweep(warm)
+        assert warm.stats.to_dict() == _counts(hits=6)
+        assert warm._lifetime() == _counts(hits=6, misses=6, stores=6)
+
+    def test_sweep_interrupted_by_a_put_still_folds(self, tmp_path,
+                                                    monkeypatch):
+        cache = ResultsCache(tmp_path, tree_digest=TD)
+        put = ResultsCache.put
+        stored = []
+
+        def second_put_fails(self, key, stats):
+            if len(stored) == 1:
+                raise OSError("no space left on device")
+            put(self, key, stats)
+            stored.append(key)
+
+        monkeypatch.setattr(ResultsCache, "put", second_put_fails)
+        with pytest.raises(OSError):
+            _sweep(cache)
+        assert cache._lifetime() == _counts(misses=6, stores=1)
+
+    def test_threads_sharing_an_instance_never_fold_twice(self, tmp_path):
+        cache = ResultsCache(tmp_path, tree_digest=TD)
+        cache.put(_key(0), b"payload")
+        per_thread, threads = 25, 8
+
+        def look_up_and_fold():
+            for i in range(per_thread):
+                cache.get(_key(i % 2))
+                cache.flush()
+
+        workers = [threading.Thread(target=look_up_and_fold)
+                   for _ in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        life = cache._lifetime()
+        assert life["hits"] + life["misses"] == per_thread * threads
+        assert life == cache.stats.to_dict()
+
+    def test_nothing_to_fold_writes_nothing(self, tmp_path):
+        cache = ResultsCache(tmp_path, tree_digest=TD)
+        cache.flush()
+        assert cache.describe_dict()["lifetime"] == _counts()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCorruptSidecar:

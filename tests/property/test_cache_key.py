@@ -17,12 +17,21 @@ import hypothesis.strategies as st  # noqa: E402
 from hypothesis import given  # noqa: E402
 
 from repro.compiler import CompileOptions  # noqa: E402
-from repro.harness.results_cache import (canonical, cell_key,  # noqa: E402
-                                         fingerprint)
+from repro.harness.parallel import (DEFAULT_MAX_INSTRUCTIONS,  # noqa: E402
+                                    sweep)
+from repro.harness.results_cache import (ResultsCache,  # noqa: E402
+                                         canonical, cell_key, fingerprint)
 from repro.machine import MachineConfig  # noqa: E402
+from repro.pipeline import SimStats  # noqa: E402
 from repro.resources import PortModel  # noqa: E402
 
 DIGEST = "test-digest"
+
+#: The key of the default cell (mcf, multipass, scale 1.0, default
+#: options and config, the 5M budget, ``DIGEST``).  A changed value
+#: orphans every cached entry: re-pin it only on purpose, as a golden.
+DEFAULT_CELL_KEY = (
+    "300ff3a893d066ec3da82bdeba5bf4eaec7c4f207d3f4c327b6d801f886aa25e")
 
 
 def _key(**overrides):
@@ -30,6 +39,8 @@ def _key(**overrides):
                 compile_options=CompileOptions(), config=MachineConfig(),
                 max_instructions=5_000_000, tree_digest=DIGEST)
     base.update(overrides)
+    base["options_fp"] = fingerprint(base.pop("compile_options"))
+    base["config_fp"] = fingerprint(base.pop("config"))
     return cell_key(**base)
 
 
@@ -48,11 +59,31 @@ _MACHINE_INT_FIELDS = [
 ]
 
 
+def _stand_in(spec):
+    """A runner that simulates nothing."""
+    return SimStats(spec.model, spec.workload)
+
+
 class TestCacheKey:
     def test_stable_across_fresh_instances(self):
         assert _key() == _key()
         assert _key(compile_options=CompileOptions(),
                     config=MachineConfig()) == _key()
+
+    def test_default_cell_key_is_pinned(self):
+        assert _key() == DEFAULT_CELL_KEY
+
+    def test_sweep_stores_each_cell_under_its_cell_key(self, tmp_path):
+        models, workloads, scale = ("inorder", "ooo"), ("mcf", "gap"), 0.5
+        cache = ResultsCache(tmp_path, tree_digest=DIGEST)
+        sweep(models, workloads, scale=scale, jobs=1, results_cache=cache,
+              runner=_stand_in)
+        options_fp = fingerprint(CompileOptions())
+        config_fp = fingerprint(MachineConfig())
+        assert {path.stem for path in cache.entries()} == {
+            cell_key(workload, model, scale, options_fp, config_fp,
+                     DEFAULT_MAX_INSTRUCTIONS, tree_digest=DIGEST)
+            for workload in workloads for model in models}
 
     @given(st.sampled_from(sorted(_COMPILE_MUTATIONS)), st.data())
     def test_any_compile_option_field_changes_the_key(self, name, data):
