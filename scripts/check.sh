@@ -108,8 +108,11 @@ else
     missing pytest-cov
 fi
 
-step "repro lint (workload verifier)"
-python -m repro lint || fail
+step "repro lint --strict (workload verifier, scales 0.05 and 1.0)"
+# Scale 1.0 lints the programs the benchmark builds (~1.5 s); warnings
+# fail the gate too.
+python -m repro lint --strict || fail
+python -m repro lint --scale 1.0 --strict || fail
 
 step "repro diffcheck (differential equivalence: vpr, parser)"
 python -m repro diffcheck vpr parser || fail
@@ -169,7 +172,9 @@ perfbench_gate cold-sweep
 step "perfbench warm-figures ledger (cache hits only, figure texts)"
 # The six figure drivers at scale 1.0 on a filled results cache: hits
 # only (no miss, store or kernel call) and the six figure-text digests.
-# The first run per source tree fills the cache (25-45 s), then ~1 s.
+# The first run per source tree fills the cache (25-45 s); after that
+# the gate takes about 1 s, mostly the worker start-ups that setup_s
+# times: the pass itself is about 0.2 s.
 perfbench_gate warm-figures
 
 step "repro trace / profile (telemetry round-trip)"

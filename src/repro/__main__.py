@@ -43,6 +43,7 @@ itself").
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .harness import (ABLATION_FACTORIES, MODEL_FACTORIES, TraceCache,
@@ -188,17 +189,23 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    from .harness.results_cache import resolve_results_cache
+    from .harness.results_cache import CACHE_ENV_VAR, ResultsCache
 
     if args.json and args.action != "stats":
         print("repro cache: --json applies only to 'stats'",
               file=sys.stderr)
         return 2
-    store = resolve_results_cache(args.results_cache)
-    if store is None:
+    root = args.results_cache or os.environ.get(CACHE_ENV_VAR)
+    if not root:
         print("repro cache: no cache directory; pass --results-cache DIR "
               "or set REPRO_RESULTS_CACHE", file=sys.stderr)
         return 2
+    # Inspecting or clearing reads an existing cache; a mistyped path
+    # must not turn into a new, empty one (sweeps still create theirs).
+    if not os.path.isdir(root):
+        print(f"repro cache: no results cache at {root}", file=sys.stderr)
+        return 2
+    store = ResultsCache(root)
     if args.action == "stats":
         if args.json:
             import json

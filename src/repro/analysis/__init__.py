@@ -18,16 +18,14 @@ four tools guard the reproduction's correctness contracts:
 * :mod:`~repro.analysis.bounds` / :mod:`~repro.analysis.audit` — the
   static critical-path estimator and the cycle-bound oracle asserting
   ``static_lower_bound <= simulated_cycles`` for every model x workload
-  cell.
+  cell.  Import them from their modules: the package does not load them,
+  so the seal-time verifier that every workload build imports stays
+  light.
 
 CLI entry points: ``python -m repro lint``, ``python -m repro
 diffcheck`` and ``python -m repro audit``.
 """
 
-from .audit import (AuditCell, AuditReport, AuditViolation, audit_matrix,
-                    check_bound)
-from .bounds import (CycleBound, SlackReport, cycle_lower_bound,
-                     slack_report)
 from .cfg import CFG, BasicBlock, Loop, build_cfg, loops, no_exit_loops
 from .dataflow import (DataflowProblem, DataflowSolution, DefUseChains,
                        LiveVariables, MustDefined, ReachingDefinitions,
@@ -41,12 +39,8 @@ from .verifier import (VerifyOptions, assert_valid, verify_compiled,
 
 __all__ = [
     "ArchReplay",
-    "AuditCell",
-    "AuditReport",
-    "AuditViolation",
     "BasicBlock",
     "CFG",
-    "CycleBound",
     "DataflowProblem",
     "DataflowSolution",
     "DefUseChains",
@@ -58,20 +52,15 @@ __all__ = [
     "MustDefined",
     "ReachingDefinitions",
     "Severity",
-    "SlackReport",
     "VerifierError",
     "VerifyOptions",
     "assert_valid",
-    "audit_matrix",
     "build_cfg",
-    "check_bound",
-    "cycle_lower_bound",
     "errors",
     "loops",
     "no_exit_loops",
     "registry",
     "render_all",
-    "slack_report",
     "solve",
     "verify_compiled",
     "verify_program",

@@ -112,10 +112,7 @@ def _convert_one(program: Program, branch_idx: int, guard: int) -> Program:
             new_instructions.append(replace(inst))
     old_to_new[len(program)] = len(new_instructions)
     labels = {name: old_to_new[i] for name, i in program.labels.items()}
-    result = Program(name=program.name, instructions=new_instructions,
-                     labels=labels,
-                     memory_image=dict(program.memory_image),
-                     metadata=dict(program.metadata))
+    result = program.derive(new_instructions, labels)
     result.metadata["if_converted"] = \
         result.metadata.get("if_converted", 0) + 1
     return result

@@ -62,12 +62,6 @@ def insert_restarts(program: Program, dominance_ratio: float = 2.0
     new_labels = {
         label: old_to_new[idx] for label, idx in program.labels.items()
     }
-    result = Program(
-        name=program.name,
-        instructions=new_instructions,
-        labels=new_labels,
-        memory_image=dict(program.memory_image),
-        metadata=dict(program.metadata),
-    )
+    result = program.derive(new_instructions, new_labels)
     result.metadata["restarts_inserted"] = len(insert_after)
     return result

@@ -149,9 +149,7 @@ def list_schedule(program: Program, ports: PortModel = PortModel()
             labels[label] = old_to_new[first] if len(block) else idx
         else:
             labels[label] = old_to_new[idx]
-    return Program(name=program.name, instructions=instructions,
-                   labels=labels, memory_image=dict(program.memory_image),
-                   metadata=dict(program.metadata))
+    return program.derive(instructions, labels)
 
 
 def form_issue_groups(program: Program, ports: PortModel = PortModel()
@@ -203,7 +201,4 @@ def form_issue_groups(program: Program, ports: PortModel = PortModel()
     if instructions:
         instructions[-1].stop = True
 
-    return Program(name=program.name, instructions=instructions,
-                   labels=dict(program.labels),
-                   memory_image=dict(program.memory_image),
-                   metadata=dict(program.metadata))
+    return program.derive(instructions, dict(program.labels))

@@ -39,7 +39,10 @@ class ProgramBuilder:
         self.name = name
         self._instructions: List[Instruction] = []
         self._labels: Dict[str, int] = {}
-        self._memory: Dict[int, object] = {}
+        #: The initial data-memory image, byte address -> word.  Workload
+        #: generators filling large regions write into it directly; the
+        #: seal (:meth:`build`) checks every address's alignment once.
+        self.memory: Dict[int, object] = {}
         self.metadata: Dict[str, object] = {}
 
     # -- structure ---------------------------------------------------------
@@ -61,7 +64,7 @@ class ProgramBuilder:
             name=self.name,
             instructions=list(self._instructions),
             labels=dict(self._labels),
-            memory_image=dict(self._memory),
+            memory_image=dict(self.memory),
             metadata=dict(self.metadata),
         )
 
@@ -74,7 +77,7 @@ class ProgramBuilder:
         """Place one initial-memory word at byte address ``addr``."""
         if addr % WORD_SIZE != 0:
             raise ProgramError(f"unaligned data word at {addr}")
-        self._memory[addr] = value
+        self.memory[addr] = value
 
     def data_words(self, base: int, values) -> int:
         """Place consecutive words starting at ``base``; return end address."""

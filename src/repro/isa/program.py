@@ -4,10 +4,17 @@ A :class:`Program` is an immutable-once-sealed sequence of
 :class:`~repro.isa.instruction.Instruction` objects plus a label map for
 branch targets and an initial data-memory image (word addressed, 4-byte
 words, byte addresses that must be 4-aligned).
+
+The image is checked once, at seal, and then shared from seal to
+executor: the compiler passes build their output with
+:meth:`Program.derive`, which keeps the same image dict, and
+:class:`~repro.isa.functional.FunctionalSimulator` and
+:class:`~repro.multipass.core.MultipassCore` each copy it before writing.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -43,6 +50,13 @@ class Program:
     metadata: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        self._seal_code()
+        for addr in self.memory_image:
+            if addr % WORD_SIZE != 0:
+                raise ProgramError(f"unaligned memory-image address: {addr}")
+
+    def _seal_code(self) -> None:
+        """Index the instructions and check labels and branch targets."""
         if not isinstance(self.labels, dict):
             # Pair form: reject duplicate definitions of a label name
             # (a dict silently keeps only the last one).
@@ -57,9 +71,6 @@ class Program:
             self.labels = labels
         for i, inst in enumerate(self.instructions):
             inst.index = i
-        self._validate()
-
-    def _validate(self) -> None:
         n = len(self.instructions)
         for label, idx in self.labels.items():
             if not isinstance(idx, int) or not 0 <= idx <= n:
@@ -79,9 +90,21 @@ class Program:
                     f"{inst.target!r} which points past the end of the "
                     f"program (index {target_idx} of {n} instructions)"
                 )
-        for addr in self.memory_image:
-            if addr % WORD_SIZE != 0:
-                raise ProgramError(f"unaligned memory-image address: {addr}")
+
+    def derive(self, instructions: List[Instruction],
+               labels: Dict[str, int]) -> Program:
+        """Seal new code over this program's data.
+
+        The result has this program's name, a copy of its metadata and
+        *the same* memory-image dict (checked when this program was
+        sealed); only the new instructions and labels are checked.
+        """
+        derived = copy.copy(self)
+        derived.instructions = instructions
+        derived.labels = labels
+        derived.metadata = dict(self.metadata)
+        derived._seal_code()
+        return derived
 
     def __len__(self) -> int:
         return len(self.instructions)

@@ -12,8 +12,8 @@ from __future__ import annotations
 from ..isa import F, P, R, WORD_SIZE
 from ..isa.builder import ProgramBuilder
 from ..isa.program import Program
-from .common import (Allocator, counted_loop, locality_address,
-                     register, rng_for, scaled)
+from .common import (Allocator, counted_loop, locality_draw, register,
+                     rng_for, scaled)
 
 
 @register("art", "CFP2000",
@@ -115,8 +115,9 @@ def build_equake(scale: float = 1.0) -> Program:
     for i in range(n_nnz):
         b.data_word(values + i * WORD_SIZE, rng.random())
         b.data_word(colidx + i * WORD_SIZE, rng.randrange(n_cols))
-    for i in range(0, n_cols, 4):
-        b.data_word(xvec + i * WORD_SIZE, rng.random())
+    memory = b.memory
+    for addr in range(xvec, xvec + n_cols * WORD_SIZE, 4 * WORD_SIZE):
+        memory[addr] = rng.random()
 
     k_ptr, col, x_addr, count, nnz_end, tmp = \
         R(1), R(2), R(3), R(4), R(5), R(6)
@@ -191,17 +192,17 @@ def build_ammp(scale: float = 1.0) -> Program:
 
     coords = alloc.alloc(n_atoms * 2)           # [x, y] per atom
     pairs = alloc.alloc(n_pairs * 2)
-    for i in range(n_atoms):
-        b.data_word(coords + i * 2 * WORD_SIZE, rng.random() * 100.0)
-        b.data_word(coords + (i * 2 + 1) * WORD_SIZE, rng.random() * 100.0)
+    memory = b.memory
+    for addr in range(coords, coords + n_atoms * 2 * WORD_SIZE, WORD_SIZE):
+        memory[addr] = rng.random() * 100.0
     hot_atoms = scaled(4_000, scale, 64)
+    # Neighbour lists are spatially local: most partners come from the
+    # hot shell, a few from far-away atoms.
+    draw_partner = locality_draw(rng, 0, hot_atoms, n_atoms, 0.05)
     for i in range(n_pairs):
-        # Neighbour lists are spatially local: most partners come from
-        # the hot shell, a few from far-away atoms.
         for slot in (0, 1):
-            addr = locality_address(rng, 0, hot_atoms, n_atoms, 0.05)
             b.data_word(pairs + (i * 2 + slot) * WORD_SIZE,
-                        addr // WORD_SIZE)
+                        draw_partner() // WORD_SIZE)
 
     pair_ptr, ai, aj, addr_i, addr_j, count, tmp = \
         R(1), R(2), R(3), R(4), R(5), R(6), R(7)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..isa import P, R, WORD_SIZE
 from ..isa.builder import ProgramBuilder
 from ..isa.program import Program
-from .common import (Allocator, counted_loop, locality_address,
+from .common import (Allocator, below, counted_loop, locality_draw,
                      register, rng_for, scaled)
 
 
@@ -29,9 +29,10 @@ def build_twolf(scale: float = 1.0) -> Program:
     iters = scaled(2_000, scale, 32)
 
     cells = alloc.alloc(n_cells * 2)            # [x, y] per cell
-    for i in range(n_cells):
-        b.data_word(cells + i * 2 * WORD_SIZE, rng.randrange(4096))
-        b.data_word(cells + (i * 2 + 1) * WORD_SIZE, rng.randrange(4096))
+    memory = b.memory
+    draw_coord = below(rng, 4096)
+    for addr in range(cells, cells + n_cells * 2 * WORD_SIZE, WORD_SIZE):
+        memory[addr] = draw_coord()
 
     seed, idx_a, idx_b, addr_a, addr_b = R(1), R(2), R(3), R(4), R(5)
     xa, ya, xb, yb, dx, dy = R(6), R(7), R(8), R(9), R(10), R(11)
@@ -119,12 +120,14 @@ def build_vpr(scale: float = 1.0) -> Program:
 
     costs = alloc.alloc(n_rr_nodes)
     edges = alloc.alloc(n_edges)
-    for i in range(n_rr_nodes):
-        b.data_word(costs + i * WORD_SIZE, rng.randrange(1, 10_000))
+    memory = b.memory
+    draw_cost = below(rng, 9_999)               # randrange(1, 10_000)
+    for addr in range(costs, costs + n_rr_nodes * WORD_SIZE, WORD_SIZE):
+        memory[addr] = 1 + draw_cost()
+    # Routing explores a neighbourhood: mostly hot nodes, some cold.
+    draw_node = locality_draw(rng, 0, hot_nodes, n_rr_nodes, 0.10)
     for i in range(n_edges):
-        # Routing explores a neighbourhood: mostly hot nodes, some cold.
-        addr = locality_address(rng, 0, hot_nodes, n_rr_nodes, 0.10)
-        b.data_word(edges + i * WORD_SIZE, addr // WORD_SIZE)
+        b.data_word(edges + i * WORD_SIZE, draw_node() // WORD_SIZE)
 
     edge_ptr, node_idx, cost_addr, cost, best = R(1), R(2), R(3), R(4), R(5)
     total, count, edge_base, edge_end, cost_base = \

@@ -13,7 +13,7 @@ from __future__ import annotations
 from ..isa import P, R, WORD_SIZE
 from ..isa.builder import ProgramBuilder
 from ..isa.program import Program
-from .common import (Allocator, counted_loop, locality_address,
+from .common import (Allocator, below, counted_loop, locality_draw,
                      register, rng_for, scaled)
 
 
@@ -46,9 +46,10 @@ def build_bzip2(scale: float = 1.0) -> Program:
     order = list(range(1, ring_size))
     rng.shuffle(order)
     ring = [0] + order
+    draw_ref = locality_draw(rng, data, data_hot_words, data_words, 0.06)
     for pos, i in enumerate(ring):
         succ = ring[(pos + 1) % ring_size]
-        ref = locality_address(rng, data, data_hot_words, data_words, 0.06)
+        ref = draw_ref()
         data_refs.append(ref)
         b.data_word(rec_addr(i), rec_addr(succ))              # sorted link
         b.data_word(rec_addr(i) + WORD_SIZE, ref)
@@ -127,15 +128,18 @@ def build_gzip(scale: float = 1.0) -> Program:
 
     window = alloc.alloc(window_words)
     heads = alloc.alloc(n_heads)
-    for i in range(0, window_words, 8):
-        b.data_word(window + i * WORD_SIZE, rng.randrange(1 << 24))
+    memory = b.memory
+    draw_word = below(rng, 1 << 24)
+    for addr in range(window, window + window_words * WORD_SIZE,
+                      8 * WORD_SIZE):
+        memory[addr] = draw_word()
     hot_window_words = scaled(4_000, scale, 256)
-    for i in range(n_heads):
-        # Head table: a previous window position for this hash.  Matches
-        # cluster near recently-seen data (LZ77 locality).
-        pos = locality_address(rng, window, hot_window_words,
-                               window_words, 0.07)
-        b.data_word(heads + i * WORD_SIZE, pos)
+    # Head table: a previous window position for each hash.  Matches
+    # cluster near recently-seen data (LZ77 locality).
+    draw_pos = locality_draw(rng, window, hot_window_words, window_words,
+                             0.07)
+    for addr in range(heads, heads + n_heads * WORD_SIZE, WORD_SIZE):
+        memory[addr] = draw_pos()
 
     ptr, cur, hashv, head_ptr, cand, cand_data = \
         R(1), R(2), R(3), R(4), R(5), R(6)

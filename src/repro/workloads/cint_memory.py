@@ -13,7 +13,7 @@ from __future__ import annotations
 from ..isa import P, R, WORD_SIZE
 from ..isa.builder import ProgramBuilder
 from ..isa.program import Program
-from .common import (Allocator, counted_loop, locality_address,
+from .common import (Allocator, below, counted_loop, locality_draw,
                      register, rng_for, scaled)
 
 
@@ -47,37 +47,39 @@ def build_mcf(scale: float = 1.0) -> Program:
     def node_addr(i: int) -> int:
         return basis_nodes + i * node_words * WORD_SIZE
 
-    def random_pot_addr() -> int:
-        return locality_address(rng, potentials, pot_hot_words,
-                                pot_region_words, cold_fraction)
-
+    memory = b.memory
+    draw_pot = locality_draw(rng, potentials, pot_hot_words,
+                             pot_region_words, cold_fraction)
+    draw_flow = below(rng, 49)                  # randrange(1, 50)
     order = list(range(1, n_basis))
     rng.shuffle(order)
     ring = [0] + order
     pot_refs = []
     for pos, i in enumerate(ring):
         succ = ring[(pos + 1) % n_basis]
-        pot = random_pot_addr()
+        node = node_addr(i)
+        pot = draw_pot()
         pot_refs.append(pot)
-        b.data_word(node_addr(i), pot)                        # data ptr
-        b.data_word(node_addr(i) + WORD_SIZE, node_addr(succ))  # next
-        b.data_word(node_addr(i) + 2 * WORD_SIZE,
-                    rng.randrange(1, 50))                     # flow
+        memory[node] = pot                                    # data ptr
+        memory[node + WORD_SIZE] = node_addr(succ)            # next
+        memory[node + 2 * WORD_SIZE] = 1 + draw_flow()        # flow
 
     # Arc array: [tail_ptr, head_ptr, cost], scanned sequentially; tail
     # and head point into the big potential region.
     arc_words = 4
+    arc_bytes = arc_words * WORD_SIZE
     arcs = alloc.alloc(n_arcs * arc_words)
-    for i in range(n_arcs):
-        base = arcs + i * arc_words * WORD_SIZE
-        for off in (0, WORD_SIZE):
-            pot = random_pot_addr()
-            pot_refs.append(pot)
-            b.data_word(base + off, pot)
-        b.data_word(base + 2 * WORD_SIZE, rng.randrange(1, 100))
+    draw_cost = below(rng, 99)                  # randrange(1, 100)
+    for base in range(arcs, arcs + n_arcs * arc_bytes, arc_bytes):
+        tail_pot, head_pot = draw_pot(), draw_pot()
+        pot_refs += (tail_pot, head_pot)
+        memory[base] = tail_pot
+        memory[base + WORD_SIZE] = head_pot
+        memory[base + 2 * WORD_SIZE] = 1 + draw_cost()
     # Only referenced potential words need initial values.
+    draw_potential = below(rng, 999)            # randrange(1, 1000)
     for addr in pot_refs:
-        b.data_word(addr, rng.randrange(1, 1000))
+        memory[addr] = 1 + draw_potential()
 
     arc_ptr, basis, count = R(1), R(2), R(3)
     tail, head, pot_t, pot_h, cost = R(4), R(5), R(6), R(7), R(8)
@@ -191,18 +193,20 @@ def build_gap(scale: float = 1.0) -> Program:
     def pay_addr(i):
         return payloads + i * pay_words * WORD_SIZE
 
-    pay_words_total = n_objects * pay_words
-
-    def payload_ref() -> int:
-        word = locality_address(rng, 0, pay_hot_words, pay_words_total,
-                                0.08)
-        return pay_addr(word // (pay_words * WORD_SIZE))
-
+    # A payload reference points at the record holding a locality-drawn
+    # payload word (byte offset from 0).
+    pay_bytes = pay_words * WORD_SIZE
+    draw_pay_word = locality_draw(rng, 0, pay_hot_words,
+                                  n_objects * pay_words, 0.08)
+    draw_tag = below(rng, 4)
+    draw_value = below(rng, 499)                # randrange(1, 500)
+    memory = b.memory
     for i in range(n_objects):
-        b.data_word(obj_addr(i), rng.randrange(4))             # tag
-        b.data_word(obj_addr(i) + WORD_SIZE, payload_ref())
-        b.data_word(pay_addr(i), rng.randrange(1, 500))
-        b.data_word(pay_addr(i) + WORD_SIZE, payload_ref())
+        obj_at, pay_at = obj_addr(i), pay_addr(i)
+        memory[obj_at] = draw_tag()
+        memory[obj_at + WORD_SIZE] = pay_addr(draw_pay_word() // pay_bytes)
+        memory[pay_at] = 1 + draw_value()
+        memory[pay_at + WORD_SIZE] = pay_addr(draw_pay_word() // pay_bytes)
 
     # Worklist: a random ring over a workspace subset of the objects.
     # The ring is revisited every ~ring_size dispatches, so its lines
@@ -287,14 +291,18 @@ def build_parser(scale: float = 1.0) -> Program:
     def entry_addr(i):
         return entries + i * entry_words * WORD_SIZE
 
+    memory = b.memory
+    draw_bucket = below(rng, n_buckets)
+    draw_key = below(rng, 1 << 20)
     heads = [0] * n_buckets
     for i in range(n_entries):
-        bucket = rng.randrange(n_buckets)
-        b.data_word(entry_addr(i), rng.randrange(1 << 20))
-        b.data_word(entry_addr(i) + WORD_SIZE, heads[bucket])
-        heads[bucket] = entry_addr(i)
+        at = entry_addr(i)
+        bucket = draw_bucket()
+        memory[at] = draw_key()
+        memory[at + WORD_SIZE] = heads[bucket]
+        heads[bucket] = at
     for j, head in enumerate(heads):
-        b.data_word(buckets + j * WORD_SIZE, head)
+        memory[buckets + j * WORD_SIZE] = head
 
     seed, hashv, bucket_ptr, entry, key = R(1), R(2), R(3), R(4), R(5)
     found, probes, count, bucket_base, target = R(6), R(7), R(8), R(9), R(10)

@@ -71,21 +71,61 @@ def counted_loop(b: ProgramBuilder, label: str, counter_reg: int,
     b.br(label, pred=pred)
 
 
-def locality_address(rng: random.Random, base: int, hot_words: int,
-                     total_words: int, cold_fraction: float) -> int:
-    """Pick a byte address with SPEC-like temporal locality.
+def below(rng: random.Random, n: int) -> Callable[[], int]:
+    """Return ``draw`` where each ``draw()`` equals ``rng.randrange(n)``.
 
-    With probability ``1 - cold_fraction`` the address falls in the hot
+    ``randrange(n)`` with an int bound ``n > 0`` runs CPython's
+    ``_randbelow_with_getrandbits``: ``k = n.bit_length()``, then
+    ``getrandbits(k)`` until the result is below ``n``.  ``draw`` runs that
+    loop on the bound ``rng.getrandbits`` with ``n`` and ``k`` fixed once,
+    so it consumes the generator exactly as ``randrange`` would, call for
+    call, without ``randrange``'s per-call argument handling (checked on
+    CPython 3.11.7 by ``tests/property/test_draws.py``).  ``randrange(a,
+    b)`` is ``a + below(rng, b - a)()``.  Calls to ``draw`` interleave
+    freely with the generator's other methods.
+    """
+    if n <= 0:
+        raise ValueError(f"empty range for below(): {n}")
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+
+    def draw() -> int:
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+    return draw
+
+
+def locality_draw(rng: random.Random, base: int, hot_words: int,
+                  total_words: int, cold_fraction: float
+                  ) -> Callable[[], int]:
+    """Return ``draw`` picking byte addresses with SPEC-like locality.
+
+    With probability ``1 - cold_fraction`` a ``draw()`` falls in the hot
     prefix of the region (sized to sit in a particular cache level);
     otherwise it falls in the cold remainder.  Workload generators use
     this to set realistic hit/miss mixes: all-cold scattered accesses
     would make every kernel far more memory-bound than its SPEC namesake.
+
+    Each ``draw()`` calls ``rng.random()``, then makes one :func:`below`
+    draw (only the latter when the region is all hot), so it consumes
+    ``rng`` exactly as ``base + rng.randrange(...) * 4`` over the chosen
+    part would.
     """
     if total_words <= hot_words:
-        return base + rng.randrange(total_words) * 4
-    if rng.random() < cold_fraction:
-        return base + rng.randrange(hot_words, total_words) * 4
-    return base + rng.randrange(hot_words) * 4
+        anywhere = below(rng, total_words)
+        return lambda: base + anywhere() * 4
+    chance = rng.random
+    hot = below(rng, hot_words)
+    cold = below(rng, total_words - hot_words)
+    cold_base = base + hot_words * 4
+
+    def draw() -> int:
+        if chance() < cold_fraction:
+            return cold_base + cold() * 4
+        return base + hot() * 4
+    return draw
 
 
 _REGISTRY: Dict[str, WorkloadSpec] = {}

@@ -5,6 +5,11 @@ verifier contract and asserts the specific diagnostic code, so a future
 refactor of the verifier cannot silently stop catching a rule.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.analysis import diagnostics as dc
@@ -147,6 +152,19 @@ def test_misaligned_memory_image_flags_MEM001():
     assert dc.MEM001 in codes(diags)
 
 
+def test_MEM001_reports_offenders_in_address_order():
+    program = simple_program()
+    program.memory_image[0x10A] = 1
+    program.memory_image[0x104] = 2         # aligned: no finding
+    program.memory_image[0x101] = 3
+    found = [d.message for d in verify_program(program)
+             if d.code == dc.MEM001]
+    assert found == [
+        "memory-image address 0x101 is not 4-byte aligned",
+        "memory-image address 0x10a is not 4-byte aligned",
+    ]
+
+
 # -- RESTART legality -------------------------------------------------------
 
 def test_orphan_restart_no_producer_flags_RST001():
@@ -287,3 +305,21 @@ def test_compiled_simple_program_verifies_cleanly():
     from repro.compiler import CompileOptions, compile_program
     compiled = compile_program(simple_program(), CompileOptions())
     assert [d for d in verify_compiled(compiled) if d.is_error] == []
+
+
+# -- import weight ------------------------------------------------------------
+
+def test_verifier_import_leaves_the_bound_oracle_unloaded():
+    """Every fresh process's first workload build imports the verifier
+    inside its timed pass; the cycle-bound oracle must not come along."""
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, repro.workloads, repro.analysis.verifier; "
+            "print([m for m in ('repro.analysis.audit', "
+            "'repro.analysis.bounds') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -226,3 +226,17 @@ def test_cache_json_is_refused_with_clear(tmp_path, capsys):
                      "--results-cache", str(tmp_path)]) == 2
     assert "only to 'stats'" in capsys.readouterr().err
     assert len(cache) == 1
+
+
+@pytest.mark.parametrize("action", ("stats", "clear"))
+def test_cache_command_refuses_a_missing_directory(tmp_path, capsys,
+                                                   monkeypatch, action):
+    """A mistyped path is an error (exit 2), not a new empty cache:
+    nothing is created, from the flag or from the environment."""
+    missing = tmp_path / "no" / "such" / "cache"
+    assert cli_main(["cache", action, "--results-cache", str(missing)]) == 2
+    assert f"no results cache at {missing}" in capsys.readouterr().err
+    monkeypatch.setenv("REPRO_RESULTS_CACHE", str(missing))
+    assert cli_main(["cache", action]) == 2
+    assert f"no results cache at {missing}" in capsys.readouterr().err
+    assert not (tmp_path / "no").exists()

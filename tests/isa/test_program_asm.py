@@ -146,3 +146,62 @@ def test_restart_count():
     b.restart(R(1))
     b.halt()
     assert b.build().restart_count() == 2
+
+
+# -- one sealed image, shared by derived programs ----------------------------
+
+def test_misaligned_image_word_rejected_at_seal_from_builder():
+    """Bulk writes skip ``data_word``'s check; the seal still catches them."""
+    b = ProgramBuilder("bad")
+    b.halt()
+    b.memory[0x102] = 9
+    with pytest.raises(ProgramError, match="unaligned memory-image"):
+        b.build()
+
+
+def test_misaligned_image_word_rejected_at_seal_from_asm():
+    with pytest.raises(ProgramError, match="unaligned memory-image"):
+        parse_asm("halt", memory_image={0x100: 1, 0x102: 9})
+
+
+def test_derive_shares_the_image_and_copies_the_metadata():
+    p = small_program()
+    p.memory_image[0x100] = 7
+    p.metadata["knob"] = 1
+    d = p.derive([Instruction(Opcode.NOP), *p.instructions],
+                 {name: idx + 1 for name, idx in p.labels.items()})
+    assert d.name == p.name
+    assert d.memory_image is p.memory_image
+    assert d.metadata == p.metadata and d.metadata is not p.metadata
+    assert [i.index for i in d] == list(range(len(d)))
+    d.metadata["knob"] = 2
+    assert p.metadata["knob"] == 1
+
+
+def test_derive_checks_the_new_code():
+    p = small_program()
+    with pytest.raises(ProgramError, match="out of range"):
+        p.derive(list(p.instructions), {"loop": 99})
+    with pytest.raises(ProgramError, match="unknown label"):
+        p.derive(list(p.instructions), {"elsewhere": 0})
+
+
+@pytest.mark.parametrize("name, fired", [("mcf", "restarts_inserted"),
+                                         ("twolf", "if_converted")])
+def test_compiled_program_shares_the_source_image(name, fired):
+    from repro.compiler import CompileOptions, compile_program
+    from repro.workloads import build_workload
+
+    source = build_workload(name, 0.05)
+    compiled = compile_program(source, CompileOptions(if_conversion=True))
+    assert compiled.memory_image is source.memory_image
+    assert compiled.metadata[fired]     # that pass rewrote the code too
+
+
+def test_execution_leaves_the_shared_image_untouched():
+    """The executor copies the image before its stores write to it."""
+    p = parse_asm("movi r1 = 5\nst r1, r0, 0x100\nhalt",
+                  memory_image={0x100: 1})
+    trace = execute(p)
+    assert trace.final_memory[0x100] == 5
+    assert p.memory_image == {0x100: 1}
