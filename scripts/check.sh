@@ -4,7 +4,7 @@
 # the two fastest workloads -> cycle-bound audit -> parallel sweep and
 # result cache (with its lifetime counters) -> traced perfbench passes
 # of all three workloads (per-layer ledger and output digests) ->
-# telemetry exports -> every example and script.
+# opcode budget -> telemetry exports -> every example and script.
 #
 # ruff, mypy and pytest-cov are optional locally (a missing one marks
 # its gate SKIPPED, so the script stays runnable anywhere); under
@@ -177,6 +177,19 @@ step "perfbench warm-figures ledger (cache hits only, figure texts)"
 # times: the pass itself is about 0.2 s.
 perfbench_gate warm-figures
 
+step "opcode budget (scripts/opcodes.py --check, 2% over the baseline)"
+# Python opcodes per simulated instruction, eight variants on mcf, gap
+# and parser at scale 0.05 (~9 s), against the committed table for this
+# Python minor version: deterministic, so a kernel that runs more than
+# 2% more opcodes per instruction on any cell fails.  A Python version
+# with no recorded table (exit 3) files the gate SKIPPED.
+python scripts/opcodes.py --check
+case $? in
+    0) ;;
+    3) status="SKIPPED" ;;
+    *) fail ;;
+esac
+
 step "repro trace / profile (telemetry round-trip)"
 trace_dir="$(mktemp -d)"
 # The Chrome export must be loadable trace-event JSON with mode spans
@@ -200,10 +213,9 @@ rm -rf "$trace_dir"
 step "examples and scripts (every script runs to completion)"
 # No test imports the examples or scripts/*.py; a non-zero exit from
 # any of them fails the gate.  pipeline_viewer.py runs mcf at scale
-# 0.05, the two simulation scripts run at scale 0.05 to stay short, the
-# opcode counter runs its fixed mcf/gap matrix at scale 0.05 (~6 s),
-# and the A/B driver runs one traced-sweep pair of HEAD against the
-# working tree (~15 s).
+# 0.05, the two simulation scripts run at scale 0.05 to stay short
+# (the opcode counter ran as its own gate above), and the A/B driver
+# runs one traced-sweep pair of HEAD against the working tree (~15 s).
 for example in examples/*.py; do
     args=""
     [ "$example" = examples/pipeline_viewer.py ] && args="mcf 0.05"
@@ -216,8 +228,6 @@ python scripts/calibrate.py mcf vpr --scale 0.05 >/dev/null || fail
 echo "scripts/run_experiments.py --scale 0.05 --skip-fig7"
 python scripts/run_experiments.py --scale 0.05 --skip-fig7 >/dev/null \
     || fail
-echo "scripts/opcodes.py"
-python scripts/opcodes.py >/dev/null || fail
 echo "scripts/ab.py HEAD --workload traced-sweep --pairs 1 --seconds 0"
 python scripts/ab.py HEAD --workload traced-sweep --pairs 1 --seconds 0 \
     >/dev/null || fail

@@ -15,7 +15,7 @@ window:
   source (and, on the realistic model, a predicated instruction's
   static destinations), in source order with the first occurrence
   winning.  Every distinct producer that is not yet visible is counted
-  in ``pending[c]``, kept in ``cprods[c]`` for stall attribution, and
+  in ``pending[c]``, kept in ``cprods[c]`` until ``c`` issues, and
   gets ``c`` appended to its wait list ``waits[p]``.  A producer's
   visibility event — at ``issue + latency + wakeup_delay``, the
   realistic model's wakeup delay folded into the event time — walks
@@ -77,10 +77,11 @@ Equivalence invariants (the bit-identity contract, see
   ascending seq order and squash truncates the live region back below
   the squash point before any re-dispatch.
 * No live event can land inside a fast-forwarded span: the skip is
-  capped by the wake horizon, the minimum over in-flight completions —
-  exactly the cycles producer events are scheduled at (modulo the
-  ``wakeup_delay`` adjustment applied to both).  Only stale entries can
-  be jumped; their stamp discards them when they next surface.
+  capped by the wake horizon, the earlier of the head's completion (the
+  next commit) and the earliest live event on the calendar
+  (``EventCalendar.next_live`` under the ``value_ready`` stamp).  Only
+  stale entries can be jumped; their stamp discards them when they
+  next surface.
 * The window boundary (the ``window``-th oldest un-issued seq) is
   sampled once per cycle before the issue scan, and the port state
   starts empty there, matching the scalar scan's fixed candidate slice
@@ -113,7 +114,7 @@ from ..pipeline.eventq import WHEEL, EventCalendar
 from ..pipeline.stats import SimStats, StallCategory
 from ..resources import issue_table
 
-#: Sentinel wake-up target meaning "no in-flight completion at all".
+#: Sentinel wake-up target meaning "no event ends the idle span".
 _INF = 1 << 62
 
 
@@ -200,8 +201,9 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     # scalar loop's producer dict: ``pending[c]`` counts c's producers
     # that were invisible at dispatch and are still invisible,
     # ``cprods[c]`` lists them in rename order for stall attribution
-    # (read only while ``pending[c]``), and ``waits[p]`` holds p's
-    # waiting consumers in ascending seq order (None: nobody waits).
+    # (read only while c is un-issued with ``pending[c]``; freed at
+    # c's issue), and ``waits[p]`` holds p's waiting consumers in
+    # ascending seq order (None: nobody waits).
     pending = [0] * n
     cprods = [()] * n
     waits = [None] * n
@@ -228,6 +230,13 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     cal = EventCalendar()
     wheel = cal.wheel
     heap = cal.heap
+    next_live = cal.next_live
+
+    # The stamp rule, for the idle skip's horizon query.  ``value_ready``
+    # is bound as a default so the kernel's own reads of it stay plain
+    # locals rather than closure cells.
+    def live(p, t, value_ready=value_ready):
+        return value_ready[p] == t
 
     dispatch_ptr = 0
     commit_ptr = 0
@@ -408,6 +417,9 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                     else:
                         access(d_addr[seq], now, kind="store")
                 unissued[seq] = 0
+                # Unread from here on; dropping it now keeps the
+                # per-seq lists from piling up for the cycle collector.
+                cprods[seq] = ()
                 done = now + latency
                 ready_cycle[seq] = done
                 visible = done + wakeup_delay
@@ -549,19 +561,22 @@ def run_columnar(core, max_cycles: int) -> SimStats:
         # ---- idle fast-forward ------------------------------------------
         # Whole-machine quiescence: nothing dispatched, issued or
         # committed this cycle.  Quiescence is *self-sustaining* until
-        # the earliest in-flight completion/wakeup horizon: no issue
+        # the wake horizon, the next event that can end it: no issue
         # means no squash; no commit means the ROB (and any full issue
-        # queue) stays blocked; the ready buckets, window boundary and
-        # port demands are frozen, so a zero-issue merge repeats
-        # verbatim.  The only per-cycle actor left is fetch, so the
-        # skip is gated on fetch being a no-op for the whole span —
-        # the base-class clamp keyed on the (frozen) commit pointer.
-        # This subsumes the scalar loop's stricter dispatch-pointer
-        # veto: a capacity-blocked dispatch cannot unblock before a
-        # commit, and the wake horizon bounds the first commit.  (The
-        # heap cannot replace the horizon scan: an event landing
-        # exactly on ``now`` has already been popped, yet must veto
-        # the skip.)
+        # queue) stays blocked; the ready queue, window boundary and
+        # port demands are frozen until a wakeup, so a zero-issue scan
+        # repeats verbatim.  Only three things can change state: a live
+        # visibility event (every one is on the calendar), the head's
+        # commit at its completion, and fetch.  So the horizon is the
+        # earlier of the head's completion and the calendar's earliest
+        # live event at or after ``now`` (an event due at ``now`` is
+        # still in its slot or on the heap, and vetoes the skip); an
+        # in-flight completion nobody waits on changes nothing.  Fetch
+        # must be a no-op for the whole span — the base-class clamp
+        # keyed on the (frozen) commit pointer caps the skip.  This
+        # subsumes the scalar loop's stricter dispatch-pointer veto: a
+        # capacity-blocked dispatch cannot unblock before a commit or
+        # an issue.
         if not issued and not committed and not dispatched \
                 and commit_ptr < dispatch_ptr:
             limit = commit_ptr + fetch_buffer
@@ -574,18 +589,10 @@ def run_columnar(core, max_cycles: int) -> SimStats:
         else:
             cap = 0
         if cap > now:
-            wake = _INF
-            for s in range(commit_ptr, dispatch_ptr):
-                if unissued[s]:
-                    continue
-                r = ready_cycle[s]
-                if r < now:
-                    r += wakeup_delay
-                    if r < now:
-                        continue
-                if r < wake:
-                    wake = r
-            skip_to = wake if wake < cap else cap
+            h = commit_ptr
+            if not unissued[h] and ready_cycle[h] < cap:
+                cap = ready_cycle[h]       # the head commits first
+            skip_to = next_live(now, cap, live)
             if now < skip_to < _INF:
                 # Same attribution rule, evaluated at the post-increment
                 # cycle like the scalar loop.  The head has issued: this
@@ -594,7 +601,6 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                 # older, hence committed and visible by the cycle after
                 # their commit, and the oldest ready seq always gets a
                 # port.
-                h = commit_ptr
                 cause = LOAD if load_wait[h] else OTHER
                 if cause is LOAD:
                     c_load += skip_to - now

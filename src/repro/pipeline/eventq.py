@@ -27,22 +27,24 @@ the heap ordering:
   exactly at its due cycle (every entry is inserted less than
   :data:`WHEEL` cycles before it fires, so the first visit of its slot
   after insertion is its own cycle, and the kernel's quiescence skip
-  never jumps a live event — the wake horizon that caps a skip is
-  itself derived from the in-flight completions that feed the
-  calendar); only *stale* entries can be jumped, and their stamp
-  discards them whenever they next surface.
+  never jumps a live event — the skip's wake horizon comes from the
+  calendar itself, :meth:`next_live` under the caller's stamp); only
+  *stale* entries can be jumped, and their stamp discards them
+  whenever they next surface.
 * **The hot loop inlines.**  The kernel localizes :attr:`wheel` and
   :attr:`heap` and open-codes :meth:`schedule` / the drain loop — at a
   few million events per second a method call per event is measurable.
-  The methods here are the readable specification of those idioms (and
-  the surface the unit tests pin); the localized loops must stay
-  observationally identical to them.
+  Those methods are the readable specification of the idioms (and the
+  surface the unit tests pin); the localized loops must stay
+  observationally identical to them.  :meth:`next_live`, the idle
+  skip's horizon query, runs only on quiescent cycles, so the kernel
+  calls it.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import List, Optional, Tuple
+from typing import Any, Callable, List, Tuple
 
 #: Calendar horizon: events strictly less than ``WHEEL`` cycles out sit
 #: in a wheel slot, farther ones in the heap.  Power of two — the slot
@@ -97,10 +99,28 @@ class EventCalendar:
             due.append(heappop(heap))
         return due
 
-    def earliest_far(self) -> Optional[int]:
-        """Due cycle of the earliest far event, or None (heap empty)."""
+    def next_live(self, now: int, limit: int,
+                  live: Callable[[Any, int], bool]) -> int:
+        """The earliest cycle before ``limit`` at which a live entry is due.
+
+        Visits the wheel slots of cycles ``now`` up to ``limit``, at most
+        :data:`WHEEL` of them, for an entry that ``live(entry, t)``, the
+        caller's stamp rule, accepts at its slot's cycle ``t``.  The heap
+        top bounds the answer, live or stale (a stale top only makes the
+        answer earlier); ``limit`` is returned when nothing comes first.
+        """
         heap = self.heap
-        return heap[0][0] if heap else None
+        if heap and heap[0][0] < limit:
+            limit = heap[0][0]
+        stop = now + WHEEL
+        if stop > limit:
+            stop = limit
+        wheel = self.wheel
+        for t in range(now, stop):
+            for entry in wheel[t & WHEEL_MASK]:
+                if live(entry, t):
+                    return t
+        return limit
 
     def clear(self) -> None:
         """Drop every scheduled event (fresh calendar, same lists)."""

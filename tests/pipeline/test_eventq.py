@@ -13,7 +13,11 @@ the contract the kernel relies on:
   re-stamps the seq, and the stale entry surfaces (and is discardable)
   at the slot's next visit;
 * an idle fast-forward bounded by the wake horizon never jumps a live
-  entry — the slot still holds it when the clock lands on its cycle.
+  entry — the slot still holds it when the clock lands on its cycle;
+* ``next_live``, the skip's horizon query, finds the earliest live
+  entry at or after ``now`` (one due exactly at ``now`` included),
+  passes over stale ones, is bounded by the heap top and never scans
+  past its limit or the wheel's horizon.
 
 The last test class pins the OOO kernel's *issue-select
 discipline*: a single ascending ready queue with a dead-region head
@@ -63,8 +67,7 @@ class TestWheel:
         cal = EventCalendar()
         cal.schedule(WHEEL - 1, now=0, entry=(WHEEL - 1,))
         cal.schedule(WHEEL, now=0, entry=(WHEEL,))
-        assert len(cal.heap) == 1
-        assert cal.earliest_far() == WHEEL
+        assert cal.heap == [(WHEEL,)]
 
 
 class TestFarHeap:
@@ -73,7 +76,7 @@ class TestFarHeap:
         cal.schedule(200, now=0, entry=(200, "fill"))
         assert cal.pop_due(199) == []
         assert cal.pop_due(200) == [(200, "fill")]
-        assert cal.earliest_far() is None
+        assert cal.heap == []
 
     def test_pop_due_orders_wheel_before_heap(self):
         cal = EventCalendar()
@@ -88,7 +91,7 @@ class TestFarHeap:
         for t in (70, 80, 90):
             cal.schedule(t, now=0, entry=(t,))
         assert cal.pop_due(85) == [(70,), (80,)]
-        assert cal.earliest_far() == 90
+        assert cal.heap == [(90,)]
 
 
 class TestStaleness:
@@ -125,32 +128,111 @@ class TestStaleness:
         assert len(cal) == 2
         cal.clear()
         assert len(cal) == 0
-        assert cal.earliest_far() is None
+        assert cal.heap == []
+
+
+def _due(entry, cycle):
+    """Stamp rule for ``(due, ...)`` entries: live iff due at ``cycle``."""
+    return entry[0] == cycle
 
 
 class TestIdleSkipInteraction:
     def test_skip_bounded_by_wake_horizon_never_jumps_live_entry(self):
-        # An idle span fast-forwards from ``now`` to the earliest
-        # in-flight completion (the wake horizon).  Every live entry
+        # An idle span fast-forwards from ``now`` to the calendar's
+        # earliest live event (the wake horizon).  Every live entry
         # was inserted < WHEEL cycles before it fires, so landing the
         # clock exactly on the horizon finds the entry in its slot.
         cal = EventCalendar()
         now = 100
         wake = now + WHEEL - 1            # worst-case near distance
         cal.schedule(wake, now, entry=(wake, "wake"))
+        assert cal.next_live(now + 1, 1 << 40, _due) == wake
         # the skip visits no intermediate slot; the landing visit
         # drains the event exactly once
         assert cal.pop_due(wake) == [(wake, "wake")]
         assert cal.pop_due(wake + WHEEL) == []
 
     def test_far_event_caps_the_skip(self):
-        # A skip past the wheel horizon consults earliest_far(); the
+        # A skip past the wheel horizon is capped by the heap top; the
         # promoted entry then bounds the landing cycle.
         cal = EventCalendar()
         cal.schedule(300, now=0, entry=(300, "fill"))
-        horizon = cal.earliest_far()
+        horizon = cal.next_live(1, 1 << 40, _due)
         assert horizon == 300
         assert cal.pop_due(horizon) == [(300, "fill")]
+
+
+class TestNextLive:
+    def test_finds_the_earliest_live_wheel_entry(self):
+        cal = EventCalendar()
+        for due in (9, 5, 30):
+            cal.schedule(due, now=0, entry=(due,))
+        assert cal.next_live(1, 100, _due) == 5
+
+    def test_passes_over_an_entry_restamped_by_a_squash(self):
+        # The OOO kernel's entries are bare seqs stamped by the seq's
+        # visibility cycle; a squash resets it, a reissue restamps it.
+        cal = EventCalendar()
+        value_ready = {4: 10}
+        cal.schedule(10, now=5, entry=4)
+        value_ready[4] = 12               # squashed and reissued
+        cal.schedule(12, now=6, entry=4)
+
+        def live(p, t):
+            return value_ready[p] == t
+
+        assert cal.next_live(7, 100, live) == 12
+        value_ready[4] = 0                # squashed for good
+        assert cal.next_live(7, 100, live) == 100
+
+    def test_passes_over_a_stale_entry_left_in_a_skipped_slot(self):
+        # A stale entry jumped by an earlier skip still sits in its slot
+        # when the wheel comes round; a live entry of the new era in the
+        # same slot is the one found.
+        cal = EventCalendar()
+        cal.schedule(10, now=5, entry=(10, "stale"))
+        now = 20                          # cycle 10's slot never drained
+        assert cal.next_live(now, 1000, _due) == 1000
+        cal.schedule(10 + WHEEL, now, entry=(10 + WHEEL, "live"))
+        assert cal.slot(10 + WHEEL) == [(10, "stale"), (10 + WHEEL, "live")]
+        assert cal.next_live(now, 1000, _due) == 10 + WHEEL
+
+    def test_finds_an_entry_due_exactly_at_now(self):
+        # The off-by-one of docs/architecture.md section 11: an event
+        # landing on ``now`` must veto the skip, not be jumped.
+        cal = EventCalendar()
+        cal.schedule(50, now=40, entry=(50,))
+        cal.schedule(200, now=40, entry=(200,))
+        assert cal.next_live(50, 1000, _due) == 50
+        assert cal.pop_due(50) == [(50,)]
+        assert cal.next_live(200, 1000, _due) == 200
+
+    def test_heap_top_bounds_the_answer(self):
+        cal = EventCalendar()
+        cal.schedule(300, now=0, entry=(300, "fill"))
+        cal.schedule(310, now=280, entry=(310,))
+        assert cal.next_live(290, 1000, _due) == 300
+        # a stale heap top still bounds it: it only shortens a skip
+        assert cal.next_live(290, 1000, lambda entry, t: False) == 300
+        # ... and a limit before the heap top wins
+        assert cal.next_live(290, 295, _due) == 295
+
+    def test_stops_its_scan_at_the_limit_and_the_wheel_horizon(self):
+        cal = EventCalendar()
+        for slot in cal.wheel:            # one stale entry in every slot
+            slot.append((-1,))
+        cal.schedule(30, now=0, entry=(30,))
+        visited = []
+
+        def live(entry, t):
+            visited.append(t)
+            return entry[0] == t
+
+        assert cal.next_live(0, 20, live) == 20
+        assert sorted(set(visited)) == list(range(20))
+        visited.clear()
+        assert cal.next_live(31, 1 << 40, live) == 1 << 40
+        assert sorted(set(visited)) == list(range(31, 31 + WHEEL))
 
 
 @st.composite
@@ -163,6 +245,18 @@ def schedules(draw):
         delay = draw(st.integers(min_value=1, max_value=200))
         events.append((now, now + delay))
     return events
+
+
+@st.composite
+def schedules_with_squashes(draw):
+    """Keyed ``schedules()``, some entries squashed while in flight."""
+    events = [(insert, due, key)
+              for key, (insert, due) in enumerate(draw(schedules()))]
+    squashed = [(key, draw(st.integers(min_value=insert + 1,
+                                       max_value=due - 1)))
+                for insert, due, key in events
+                if due - insert > 1 and draw(st.booleans())]
+    return events, squashed
 
 
 class TestCalendarProperties:
@@ -187,6 +281,37 @@ class TestCalendarProperties:
                 drained[key] = now
         assert not pending, "entries never drained"
         assert len(cal) == 0
+
+    @given(schedules_with_squashes(), st.integers(min_value=1,
+                                                  max_value=400))
+    @settings(max_examples=60, deadline=None)
+    def test_never_later_than_the_earliest_live_entry(self, case, span):
+        # A cycle-by-cycle caller that asks before each drain gets the
+        # earliest live due cycle at or after ``now``, capped by the
+        # limit -- or an earlier answer, only under a stale heap top.
+        events, squashed = case
+        cal = EventCalendar()
+        stamp = {}
+
+        def live(entry, t):
+            return stamp[entry[1]] == t
+
+        for now in range(max(due for _, due, _ in events) + 1):
+            for insert, due, key in events:
+                if insert == now:
+                    stamp[key] = due
+                    cal.schedule(due, now, entry=(due, key))
+            for key, at in squashed:
+                if at == now:
+                    stamp[key] = 0
+            limit = now + span
+            expect = min([d for d in stamp.values() if d >= now]
+                         + [limit])
+            got = cal.next_live(now, limit, live)
+            assert got <= expect, "a live entry was jumped"
+            if not cal.heap or live(cal.heap[0], cal.heap[0][0]):
+                assert got == expect
+            cal.pop_due(now)
 
 
 # ---------------------------------------------------------------------------

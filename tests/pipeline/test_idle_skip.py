@@ -14,7 +14,9 @@ cycle by cycle across the span boundary.  Somewhere in the sweep each
 event lands exactly on the first skipped cycle; a skip that overshoots
 by even one cycle drifts the cycle count or the stall attribution and
 fails the differential against the ``slow=True`` reference, which never
-skips.
+skips.  One more shape slides a long completion that nobody waits on
+through a span: the OOO skip jumps it, so the sweep pins that such a
+jump changes nothing.
 
 Asserted for every registered model: the in-order loop fast-forwards
 through the base core's front-end clamp, and the OOO and
@@ -57,6 +59,33 @@ def _boundary_program(pad: int, gap: int):
     return execute(compile_program(b.build()))
 
 
+def _unread_completion_program(pad: int):
+    """A long completion nobody waits on, inside the head's idle span.
+
+    The head is a DIV waiting on a cold load; once the load's fill
+    wakes it, the machine idles for the DIV's latency.  A second cold
+    load, younger than the DIV chain and never read, issues ``pad``
+    cycles after the first, so its fill slides one cycle per pad into
+    and through that span.  It is neither the head nor awaited, so the
+    OOO skip's wake horizon (the head's completion and the calendar's
+    live events) jumps it; a horizon that missed a real event there
+    would drift from the never-skipping reference.
+    """
+    b = ProgramBuilder(f"unread-completion-p{pad}")
+    b.movi(R(12), 0x3000)
+    b.movi(R(13), 0x3000)
+    b.movi(R(1), 3)
+    b.ld(R(2), R(12), 0)          # cold load: the first idle span
+    b.div(R(5), R(2), R(1))       # the head of the second span
+    b.div(R(6), R(5), R(1))
+    for _ in range(pad):          # slide the second load's issue
+        b.addi(R(13), R(13), 0)
+    b.ld(R(4), R(13), 128)        # second cold load: never read
+    b.add(R(7), R(6), R(1))
+    b.halt()
+    return execute(compile_program(b.build()))
+
+
 def _comparable(stats):
     return (stats.cycles, stats.instructions, dict(stats.cycle_breakdown),
             dict(stats.counters), stats.branch_accuracy)
@@ -64,14 +93,15 @@ def _comparable(stats):
 
 @pytest.mark.parametrize("model", ALL_MODELS)
 def test_skip_never_jumps_a_boundary_event(model):
-    for gap in GAPS:
-        for pad in PADS:
-            trace = _boundary_program(pad, gap)
+    for pad in PADS:
+        traces = [_boundary_program(pad, gap) for gap in GAPS]
+        traces.append(_unread_completion_program(pad))
+        for trace in traces:
             fast = run_model(model, trace)
             slow = run_model(model, trace, slow=True)
             assert _comparable(fast) == _comparable(slow), (
                 f"{model}: fast path diverged from the per-cycle "
-                f"reference at pad={pad} gap={gap} — a fast-forward "
+                f"reference on {trace.program.name} — a fast-forward "
                 f"span jumped an event that landed on a skipped cycle")
 
 
