@@ -59,7 +59,7 @@ def main() -> int:
     ]
     if not args.skip_fig7:
         jobs.append(("Figure 7 — cache hierarchies",
-                     lambda: figure7(args.scale, **engine)))
+                     lambda: figure7(args.scale, cache=cache, **engine)))
 
     for title, job in jobs:
         start = time.time()

@@ -191,7 +191,7 @@ def audit_matrix(models: Optional[Iterable[str]] = None,
         # The bound is computed here from the trace, so cached stats are
         # as auditable as fresh ones — cache reads stay enabled.
         from ..harness.parallel import sweep
-        sweep_report = sweep(models, workloads, scale=scale,
+        sweep_report = sweep(models, workloads, cache=cache,
                              jobs=parallel, results_cache=results_cache)
         cycles_of = {cell: stats.cycles for cell, stats
                      in sweep_report.matrix.results.items()}

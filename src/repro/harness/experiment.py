@@ -129,7 +129,10 @@ def run_matrix(models: Iterable[str],
     ``parallel`` fans the cell grid out over a process pool (default:
     $REPRO_JOBS, else serial) and ``results_cache`` serves unchanged
     cells from an on-disk store (default: $REPRO_RESULTS_CACHE, else
-    off); both paths are bit-identical to the serial one.  Any failed
+    off); both paths are bit-identical to the serial one.  The engine
+    takes its in-process traces from ``cache`` when given, so a caller
+    that reads the traces afterwards (or sweeps them again) executes
+    each workload once.  Any failed
     cell raises :class:`~repro.harness.parallel.SweepError` after one
     retry — use :func:`~repro.harness.parallel.sweep` directly for a
     report with recorded failure rows instead.
@@ -141,22 +144,20 @@ def run_matrix(models: Iterable[str],
     if jobs > 1 or store is not None:
         models = list(models)
         workloads = list(workloads)
-        report = sweep(
-            models, workloads, config=config,
-            scale=cache.scale if cache else scale,
-            compile_options=cache.compile_options if cache else None,
-            max_instructions=(cache.max_instructions if cache
-                              else 5_000_000),
-            jobs=jobs, results_cache=store, timeout=cell_timeout)
+        report = sweep(models, workloads, config=config, scale=scale,
+                       cache=cache, jobs=jobs, results_cache=store,
+                       timeout=cell_timeout)
         report.raise_on_failure()
         return report.matrix
-    cache = cache or TraceCache(scale)
-    matrix = Matrix(scale=cache.scale)
+    matrix = Matrix(scale=cache.scale if cache else scale)
     for workload in workloads:
-        trace = cache.trace(workload)
+        # Without a caller's cache, a trace lives only while its
+        # workload's models run.
+        trace = (cache or TraceCache(scale)).trace(workload)
         for model in models:
             matrix.results[(workload, model)] = run_model(model, trace,
                                                           config)
+        del trace
     return matrix
 
 

@@ -53,9 +53,8 @@ def figure6(scale: float = 1.0, workloads=ALL_WORKLOADS,
             cache: Optional[TraceCache] = None,
             parallel=None, results_cache=None) -> FigureResult:
     """Fig. 6: normalized cycles, stall breakdown, headline aggregates."""
-    cache = _cache(scale, cache)
     matrix = run_matrix(("inorder", "multipass", "ooo"),
-                        workloads=workloads, cache=cache,
+                        workloads=workloads, scale=scale, cache=cache,
                         parallel=parallel, results_cache=results_cache)
     mp_speedup = geomean(matrix.speedup(w, "multipass")
                          for w in matrix.workloads())
@@ -86,8 +85,14 @@ def figure6(scale: float = 1.0, workloads=ALL_WORKLOADS,
 
 def figure7(scale: float = 1.0, workloads=ALL_WORKLOADS,
             hierarchies=("base", "config1", "config2"),
+            cache: Optional[TraceCache] = None,
             parallel=None, results_cache=None) -> FigureResult:
-    """Fig. 7: MP and OOO speedups under the three cache hierarchies."""
+    """Fig. 7: MP and OOO speedups under the three cache hierarchies.
+
+    The hierarchies replay the same traces, so one cache serves all
+    three sweeps and each program is executed once.
+    """
+    cache = _cache(scale, cache)
     per_config: Dict[str, Matrix] = {}
     rows: List[str] = [
         "Speedup over in-order under varying cache hierarchies",
@@ -97,7 +102,6 @@ def figure7(scale: float = 1.0, workloads=ALL_WORKLOADS,
     data: Dict[str, Dict[str, float]] = {}
     for name in hierarchies:
         config = MachineConfig().with_hierarchy(HIERARCHIES[name]())
-        cache = TraceCache(scale)
         matrix = run_matrix(("inorder", "multipass", "ooo"),
                             workloads=workloads, config=config,
                             cache=cache, parallel=parallel,
@@ -125,10 +129,9 @@ def figure8(scale: float = 1.0, workloads=ALL_WORKLOADS,
             cache: Optional[TraceCache] = None,
             parallel=None, results_cache=None) -> FigureResult:
     """Fig. 8: % of full MP speedup without regrouping / without restart."""
-    cache = _cache(scale, cache)
     matrix = run_matrix(("inorder", "multipass", "multipass-noregroup",
                          "multipass-norestart"),
-                        workloads=workloads, cache=cache,
+                        workloads=workloads, scale=scale, cache=cache,
                         parallel=parallel, results_cache=results_cache)
     rows = [
         "Percent of full multipass speedup retained",
@@ -195,9 +198,8 @@ def runahead_comparison(scale: float = 1.0, workloads=ALL_WORKLOADS,
                         cache: Optional[TraceCache] = None,
                         parallel=None, results_cache=None) -> FigureResult:
     """Section 5.4: Dundas–Mudge runahead vs multipass cycle reduction."""
-    cache = _cache(scale, cache)
     matrix = run_matrix(("inorder", "multipass", "runahead"),
-                        workloads=workloads, cache=cache,
+                        workloads=workloads, scale=scale, cache=cache,
                         parallel=parallel, results_cache=results_cache)
     mp_reduction = sum(
         1 - matrix.get(w, "multipass").cycles
@@ -227,9 +229,8 @@ def realistic_ooo_comparison(scale: float = 1.0, workloads=ALL_WORKLOADS,
                              parallel=None, results_cache=None
                              ) -> FigureResult:
     """Section 5.2: multipass vs the decentralized-queue OOO model."""
-    cache = _cache(scale, cache)
     matrix = run_matrix(("inorder", "multipass", "ooo-realistic"),
-                        workloads=workloads, cache=cache,
+                        workloads=workloads, scale=scale, cache=cache,
                         parallel=parallel, results_cache=results_cache)
     mp_over_realistic = geomean(
         matrix.get(w, "ooo-realistic").cycles

@@ -7,20 +7,24 @@ pool must produce *bit-identical* stats to a serial
 :func:`~repro.harness.experiment.run_matrix` — the equivalence tests in
 ``tests/harness/test_parallel_matrix.py`` enforce exactly that.
 
-Cells are dispatched to a ``concurrent.futures`` process pool *grouped
-by workload cell* — every model of a (workload, scale, options) triple
-lands on the same worker as one batch, so the group shares a single
-functional execution, decode and column build via the worker's
-process-global :class:`~repro.harness.experiment.TraceCache` instead of
-each worker re-deriving them.  Fault handling is two-layered:
+Cells run *grouped by workload cell*: every model of a (workload,
+scale, options) triple runs back to back, in-process or on one pool
+worker, so the group shares a single functional execution, decode and
+column build.  A trace lives exactly as long as its group: it is built
+when the group's first cell needs it and dropped after the group's last
+cell, so a sweep holds one workload's trace at a time.  A caller that
+replays the same traces across several sweeps passes its own
+:class:`~repro.harness.experiment.TraceCache`, which then owns them
+(in-process sweeps only; pool workers always build their own).  Fault
+handling is two-layered:
 
 * **In-worker timeout** — every cell runs under a ``SIGALRM`` interval
   timer (the simulators are pure Python, so the signal interrupts even
   a wedged loop); expiry surfaces as a failure row, not a hang.
 * **Retry once, then record** — a failed cell (exception, timeout, or a
-  worker process death) is retried on a fresh round; a second failure
-  becomes a :class:`CellResult` failure row in the report so one bad
-  cell degrades a sweep instead of crashing it.
+  worker process death) is retried on a fresh round, which may rebuild
+  its trace; a second failure becomes a :class:`CellResult` failure row
+  in the report so one bad cell degrades a sweep instead of crashing it.
 
 When a :class:`~repro.harness.results_cache.ResultsCache` is supplied,
 cells whose key is already on disk are served without simulation and
@@ -32,17 +36,14 @@ its lifetime counters once, at the end.
 from __future__ import annotations
 
 import os
+import resource
 import signal
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, process
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-import multiprocessing
-
 from ..compiler import CompileOptions
-from ..isa.trace import Trace
 from ..machine import MachineConfig
 from ..pipeline import SimStats
 from ..workloads import ALL_WORKLOADS
@@ -121,58 +122,15 @@ class SweepError(RuntimeError):
     """Raised by :func:`run_matrix` when cells fail even after retry."""
 
 
-#: Per-process trace caches, keyed by (scale, compile fingerprint,
-#: budget) — pool workers are reused across cells, so each worker
-#: functionally executes any given workload at most once.
-_WORKER_TRACES: Dict[Tuple[float, str, int], TraceCache] = {}
-
-#: Per-process decode-build log, keyed by (workload, scale): how many
-#: times this process actually constructed a decoded-trace cache.  The
-#: grouped dispatch in :func:`_run_round` keeps this at one per key —
-#: every model of a workload lands on the same worker — which the
-#: decode-amortization test pins.
-_DECODE_BUILDS: Dict[Tuple[str, float], int] = {}
-
-#: The trace this process's previous cell ran on.
-_LAST_TRACE: Optional[Trace] = None
+#: A cell runner: ``runner(spec, traces)`` simulates one cell on the
+#: trace ``traces.trace(spec.workload)`` and returns its stats, or
+#: ``(stats, telemetry summary)``.
+Runner = Callable[[CellSpec, TraceCache], SimStats]
 
 
-def _worker_trace(spec: CellSpec):
-    global _LAST_TRACE
-    key = (spec.scale, fingerprint(spec.compile_options),
-           spec.max_instructions)
-    cache = _WORKER_TRACES.get(key)
-    if cache is None:
-        cache = TraceCache(spec.scale, compile_options=spec.compile_options,
-                           max_instructions=spec.max_instructions)
-        _WORKER_TRACES[key] = cache
-    trace = cache.trace(spec.workload)
-    previous = _LAST_TRACE
-    if previous is not trace:
-        # Cells arrive workload by workload, so the columns the kernels
-        # built on the previous trace (issue codes, fetch lines and
-        # runs, the multipass kind: about 50 bytes per instruction, or
-        # 37 MB for the 12 programs at scale 1.0) are dead weight from
-        # here on; drop them so a sweep holds one workload's worth at a
-        # time.  A later revisit rebuilds them on demand.
-        if previous is not None and previous._decoded is not None:
-            previous._decoded._columns = None
-        _LAST_TRACE = trace
-    if trace._decoded is None:
-        # Eager decode + column prebuild: the decoded cache and the
-        # shared issue columns are derived read-only data — built once
-        # here, reused by every model of this (workload, scale) the
-        # worker simulates.
-        from ..isa.columns import columns_of
-
-        columns_of(trace.decoded)
-        cell = (spec.workload, spec.scale)
-        _DECODE_BUILDS[cell] = _DECODE_BUILDS.get(cell, 0) + 1
-    return trace
-
-
-def simulate_cell(spec: CellSpec) -> SimStats:
-    """The production cell runner: build/reuse the trace, run the model.
+def simulate_cell(spec: CellSpec, traces: TraceCache) -> SimStats:
+    """The production cell runner: take the trace from ``traces`` (the
+    cache the sweep shares across the cell's group), run the model.
 
     With ``spec.telemetry`` set, the run records a
     :class:`~repro.telemetry.timeline.Timeline` (on the production
@@ -180,7 +138,14 @@ def simulate_cell(spec: CellSpec) -> SimStats:
     being its :class:`~repro.telemetry.metrics.MetricsSink` view; the
     stats themselves are bit-identical to an untraced run.
     """
-    trace = _worker_trace(spec)
+    trace = traces.trace(spec.workload)
+    if trace._decoded is None:
+        # Eager decode + column prebuild: the decoded cache and the
+        # shared issue columns are derived read-only data — built once
+        # here, reused by every model of the group.
+        from ..isa.columns import columns_of
+
+        columns_of(trace.decoded)
     if not spec.telemetry:
         stats, telemetry = run_model(spec.model, trace, spec.config), None
     else:
@@ -200,8 +165,8 @@ def _raise_timeout(signum, frame):
     raise CellTimeout()
 
 
-def _execute_cell(spec: CellSpec, runner: Callable[[CellSpec], SimStats],
-                  timeout: Optional[float]) -> CellResult:
+def _execute_cell(spec: CellSpec, runner: Runner, timeout: Optional[float],
+                  traces: TraceCache) -> CellResult:
     """Run one cell under the per-cell timer, never letting it raise."""
     start = time.perf_counter()
     # SIGALRM is only available on the main thread of a process; pool
@@ -213,7 +178,7 @@ def _execute_cell(spec: CellSpec, runner: Callable[[CellSpec], SimStats],
         if arm:
             previous = signal.signal(signal.SIGALRM, _raise_timeout)
             signal.setitimer(signal.ITIMER_REAL, timeout)
-        outcome = runner(spec)
+        outcome = runner(spec, traces)
         # Telemetry-collecting runners return (stats, summary).
         if isinstance(outcome, tuple):
             stats, telemetry = outcome
@@ -237,6 +202,9 @@ def _execute_cell(spec: CellSpec, runner: Callable[[CellSpec], SimStats],
 
 
 def _pool_context():
+    # Imported here, not at module import: no jobs=1 sweep starts a pool.
+    import multiprocessing
+
     # fork keeps already-imported test/runner modules visible to workers
     # and skips re-importing the simulator; fall back where unavailable.
     try:
@@ -251,34 +219,54 @@ def _group_key(spec: CellSpec) -> Tuple[str, float, str, int]:
             spec.max_instructions)
 
 
-def _execute_group(specs: Sequence[CellSpec],
-                   runner: Callable[[CellSpec], SimStats],
-                   timeout: Optional[float]) -> List[CellResult]:
-    """Run one workload group's cells back-to-back in this worker.
+def _pooled(specs: Sequence[CellSpec], jobs: int) -> bool:
+    """Whether :func:`_run_round` runs ``specs`` on a process pool."""
+    return jobs > 1 and len(specs) > 1
 
-    All cells of the group share a trace, so the worker pays one
+
+def _execute_group(specs: Sequence[CellSpec], runner: Runner,
+                   timeout: Optional[float],
+                   traces: Optional[TraceCache] = None) -> List[CellResult]:
+    """Run one workload group's cells back-to-back in this process.
+
+    All cells of the group share a trace, so the process pays one
     functional execution and one decode for the whole group; each cell
-    still runs under its own SIGALRM budget.
+    still runs under its own SIGALRM budget.  Without a caller's
+    ``traces`` the group's cache is this call's own, so the trace (with
+    its decode, columns and memory images) is dropped as soon as the
+    group's last cell has run.
     """
-    return [_execute_cell(spec, runner, timeout) for spec in specs]
+    if traces is None:
+        first = specs[0]
+        traces = TraceCache(first.scale, first.compile_options,
+                            first.max_instructions)
+    return [_execute_cell(spec, runner, timeout, traces) for spec in specs]
 
 
-def _run_round(specs: Sequence[CellSpec], jobs: int,
-               runner: Callable[[CellSpec], SimStats],
-               timeout: Optional[float]) -> List[CellResult]:
+def _run_round(specs: Sequence[CellSpec], jobs: int, runner: Runner,
+               timeout: Optional[float],
+               traces: Optional[TraceCache] = None) -> List[CellResult]:
     """Execute one batch of cells, one result per spec, in spec order.
 
-    Cells are dispatched to the pool *grouped by workload cell* (same
-    workload, scale, compile options and budget), so every model of a
-    workload runs on the same worker and shares one trace build + decode
-    instead of each worker re-deriving them.
+    Cells run *grouped by workload cell* (same workload, scale, compile
+    options and budget), in-process or with every model of a workload
+    on the same pool worker, so a group shares one trace build + decode
+    and holds it only while its cells run.  The caller's ``traces``
+    serves the in-process groups; pool workers build their own.
     """
-    if jobs <= 1 or len(specs) <= 1:
-        return [_execute_cell(spec, runner, timeout) for spec in specs]
     groups: Dict[Tuple[str, float, str, int], List[int]] = {}
     for index, spec in enumerate(specs):
         groups.setdefault(_group_key(spec), []).append(index)
     results: List[Optional[CellResult]] = [None] * len(specs)
+    if not _pooled(specs, jobs):
+        for indices in groups.values():
+            group = [specs[i] for i in indices]
+            for i, result in zip(indices, _execute_group(group, runner,
+                                                         timeout, traces)):
+                results[i] = result
+        return results
+    from concurrent.futures import ProcessPoolExecutor, process
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(groups)),
                              mp_context=_pool_context()) as pool:
         futures = [
@@ -307,6 +295,11 @@ def _run_round(specs: Sequence[CellSpec], jobs: int,
     return results
 
 
+def _peak_rss_mb(who: int) -> float:
+    """``ru_maxrss`` of ``who`` (a ``resource.RUSAGE_*``) in MB."""
+    return resource.getrusage(who).ru_maxrss / 1024.0  # KiB on Linux
+
+
 @dataclass
 class SweepReport:
     """A completed sweep: the matrix plus operability accounting."""
@@ -323,6 +316,11 @@ class SweepReport:
     #: cells that were simulated with ``telemetry=True``.  Cells served
     #: from the result cache carry no summary (stats only are cached).
     telemetry: Dict[Tuple[str, str], dict] = field(default_factory=dict)
+    #: Peak resident set size (MB) of the sweeping process, and of the
+    #: largest pool worker it has reaped when a pool round ran (else 0):
+    #: ``ru_maxrss``, a peak over the process's life, not this sweep's.
+    peak_rss_mb: float = 0.0
+    worker_peak_rss_mb: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -331,9 +329,12 @@ class SweepReport:
     def summary(self) -> str:
         rate = (f", {self.cells / self.elapsed:.1f} cells/s"
                 if self.elapsed > 0 else "")
+        workers = (f" (pool worker {self.worker_peak_rss_mb:.0f} MB)"
+                   if self.worker_peak_rss_mb else "")
         lines = [
             f"sweep: {self.cells} cell(s) with {self.jobs} job(s) in "
-            f"{self.elapsed:.1f}s total wall time{rate} — "
+            f"{self.elapsed:.1f}s total wall time{rate}, process peak "
+            f"RSS {self.peak_rss_mb:.0f} MB{workers} — "
             f"{self.simulated} simulated, "
             f"{self.cache_hits} from cache, {len(self.failures)} failed"
         ]
@@ -359,14 +360,22 @@ def sweep(models: Sequence[str],
           results_cache: Union[None, str, ResultsCache] = None,
           timeout: Optional[float] = None,
           retries: int = 1,
-          runner: Optional[Callable[[CellSpec], SimStats]] = None,
+          runner: Optional[Runner] = None,
           telemetry: bool = False,
-          audit: bool = False
+          audit: bool = False,
+          cache: Optional[TraceCache] = None
           ) -> SweepReport:
     """Run the full cell grid; always returns a report, never hangs.
 
     Failed cells (after ``retries`` extra attempts each) appear in
     ``report.failures`` and are absent from ``report.matrix``.
+
+    Each workload's trace is built when its first cell needs it and
+    dropped after its last cell has run.  A caller that replays the
+    same traces across several sweeps passes its own ``cache`` instead:
+    its scale, compile options and budget then replace the arguments,
+    and the in-process cells take their traces from it and leave them
+    there (pool workers still build and drop their own).
 
     ``telemetry=True`` records a timeline of every simulated cell on
     its production kernel and keeps the per-cell summaries in
@@ -385,6 +394,10 @@ def sweep(models: Sequence[str],
     jobs = resolve_jobs(jobs)
     store = resolve_results_cache(results_cache)
     config = config or MachineConfig()
+    if cache is not None:
+        scale = cache.scale
+        compile_options = cache.compile_options
+        max_instructions = cache.max_instructions
     compile_options = compile_options or CompileOptions()
 
     # A repeated name would otherwise simulate its cells twice.
@@ -417,13 +430,15 @@ def sweep(models: Sequence[str],
             outstanding.append(spec)
 
         results: Dict[Tuple[str, str], CellResult] = {}
+        pooled = False
         for attempt in range(1, retries + 2):
             if not outstanding:
                 break
+            pooled = pooled or _pooled(outstanding, jobs)
             failed: List[CellSpec] = []
             for spec, result in zip(outstanding,
                                     _run_round(outstanding, jobs, runner,
-                                               timeout)):
+                                               timeout, cache)):
                 result.attempts = attempt
                 results[(spec.workload, spec.model)] = result
                 if not result.ok:
@@ -448,6 +463,9 @@ def sweep(models: Sequence[str],
             store.flush()
 
     report.elapsed = time.perf_counter() - start
+    report.peak_rss_mb = _peak_rss_mb(resource.RUSAGE_SELF)
+    if pooled:
+        report.worker_peak_rss_mb = _peak_rss_mb(resource.RUSAGE_CHILDREN)
     return report
 
 

@@ -19,8 +19,8 @@ The decode is built lazily on first use (``trace.decoded``) and cached on
 the :class:`~repro.isa.trace.Trace` instance.  Because the experiment
 harness shares one ``Trace`` object per workload across all timing models
 (see :class:`~repro.harness.experiment.TraceCache`), a five-model sweep
-decodes each workload exactly once, and process-pool workers — which keep
-a per-process trace cache — rebuild it once per worker, not per cell.
+decodes each workload exactly once, in-process or on the one pool worker
+that runs all of the workload's cells.
 
 Everything here is *derived* read-only data: a ``DecodedTrace`` never
 changes simulation semantics, it only removes interpretation overhead.

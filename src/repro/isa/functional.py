@@ -190,8 +190,11 @@ class FunctionalSimulator:
         for reg in sorted(written):
             registers[reg] = regs[reg]
         self.pc = pc
+        # The trace takes the memory over rather than a copy of it: on
+        # the largest programs that copy would be a second full data
+        # image.  A simulator is run once.
         return Trace(program, pcs, executed, addrs, values, taken,
-                     dict(registers), dict(memory), truncated=truncated)
+                     dict(registers), memory, truncated=truncated)
 
     def step(self, seq: int) -> TraceEntry:
         """Execute the instruction at the current pc and return its entry.

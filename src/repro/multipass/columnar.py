@@ -154,6 +154,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     pready_stamp = core._pready_stamp
     pready_val = core._pready_val
     mem_vals = core.mem_vals
+    image_get = core.mem_image.get
     # Fused SRF/poison state: one stamp cell per register, holding
     # ``epoch * 4 + 1`` (A-bit set, value time in ``srf_ready``) or
     # ``epoch * 4 + 2`` (I-bit set); anything below the pass's ``sA``
@@ -527,7 +528,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                         else:
                             if unknown_store or outcome == MISS_SPECULATIVE:
                                 data_spec = 1
-                                observed = mem_vals.get(addr, 0)
+                                observed = mem_vals.get(
+                                    addr, image_get(addr, 0))
                                 n_sbit_loads += 1
                             else:
                                 data_spec = 0

@@ -103,9 +103,13 @@ class MultipassCore(BaseCore):
         self.rs = ResultStore(len(trace), config.multipass_queue_size,
                               checked=check)
         self.asc = AdvanceStoreCache(config.asc_entries, config.asc_assoc)
-        # Committed memory image, used to observe the (possibly stale)
-        # value a data-speculative advance load would actually read.
-        self.mem_vals: Dict[int, object] = dict(trace.program.memory_image)
+        # Committed memory, used to observe the (possibly stale) value a
+        # data-speculative advance load would actually read: the stores
+        # this core has committed, over the program's data image.  The
+        # image is shared by every core replaying the trace, so it is
+        # only ever read.
+        self.mem_vals: Dict[int, object] = {}
+        self.mem_image = trace.program.memory_image
 
         self.mode = Mode.ARCHITECTURAL
         self.arch_ptr = 0            # DEQ pointer (trace sequence index)
@@ -545,8 +549,8 @@ class MultipassCore(BaseCore):
             return
 
         data_speculative = self.unknown_store or outcome == MISS_SPECULATIVE
-        observed = (self.mem_vals.get(addr, 0) if data_speculative
-                    else entry.value)
+        observed = (self.mem_vals.get(addr, self.mem_image.get(addr, 0))
+                    if data_speculative else entry.value)
         l1_hit = not result.l1_miss
         if self.persist_results:
             self.rs.put(entry.seq, result.ready, data_speculative,
@@ -639,7 +643,7 @@ class MultipassCore(BaseCore):
     # main loop
     # ------------------------------------------------------------------
 
-    def run(self, max_cycles: int = 500_000_000) -> SimStats:
+    def run(self, max_cycles: Optional[int] = None) -> SimStats:
         """Run the columnar kernel, or the scalar loop under ``--slow``.
 
         The columnar kernel (:mod:`repro.multipass.columnar`) is the
@@ -648,13 +652,16 @@ class MultipassCore(BaseCore):
         below steps every cycle and is the bit-identity reference;
         ``slow=True`` is the only way to run it.  Stats and recorded
         timelines are identical either way — the differential suites
-        pin it.
+        pin it.  ``max_cycles`` defaults to
+        :meth:`~repro.pipeline.base.BaseCore.cycle_budget`.
         """
+        if max_cycles is None:
+            max_cycles = self.cycle_budget()
         if self.slow:
             return self._run_scalar(max_cycles)
         return run_columnar(self, max_cycles)
 
-    def _run_scalar(self, max_cycles: int = 500_000_000) -> SimStats:
+    def _run_scalar(self, max_cycles: int) -> SimStats:
         entries = self.trace.entries
         n = len(entries)
         frontend = self.frontend

@@ -85,7 +85,7 @@ class OutOfOrderCore(BaseCore):
 
     # ------------------------------------------------------------------
 
-    def run(self, max_cycles: int = 500_000_000) -> SimStats:
+    def run(self, max_cycles: Optional[int] = None) -> SimStats:
         """Run the columnar kernel, or the scalar loop under ``--slow``.
 
         The event-driven columnar kernel (:mod:`repro.ooo.columnar`) is
@@ -93,13 +93,16 @@ class OutOfOrderCore(BaseCore):
         :class:`~repro.telemetry.timeline.Timeline`.  The scalar loop
         below steps every cycle and is the bit-identity reference;
         ``slow=True`` is the only way to run it.  Both paths support
-        ``--check`` replay.
+        ``--check`` replay.  ``max_cycles`` defaults to
+        :meth:`~repro.pipeline.base.BaseCore.cycle_budget`.
         """
+        if max_cycles is None:
+            max_cycles = self.cycle_budget()
         if self.slow:
             return self._run_scalar(max_cycles)
         return run_columnar(self, max_cycles)
 
-    def _run_scalar(self, max_cycles: int = 500_000_000) -> SimStats:
+    def _run_scalar(self, max_cycles: int) -> SimStats:
         trace = self.trace
         entries = trace.entries
         dec = trace.decoded

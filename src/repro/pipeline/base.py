@@ -117,6 +117,26 @@ class BaseCore:
             return now
         return wait_until
 
+    def cycle_budget(self) -> int:
+        """The default ``max_cycles`` of :meth:`run`, from the trace length.
+
+        The worst single-instruction latency is the slowest path through
+        the hierarchy (every level and main memory) plus every refill and
+        flush penalty; the budget allows each instruction, and one more,
+        twice that.  Correct runs stay far below it (at most 6.5 cycles
+        per instruction on the packaged programs under the three
+        hierarchies, 42 on the tests' smallest hand-built traces), so a
+        run that reaches it has lost a wake-up, and it fails in seconds.
+        """
+        config = self.config
+        h = config.hierarchy
+        miss = (max(h.l1i.latency, h.l1d.latency) + h.l2.latency
+                + (h.l3.latency if h.l3 else 0) + h.memory_latency)
+        penalties = (config.mispredict_penalty + config.flush_penalty
+                     + config.advance_restart_refill
+                     + config.advance_entry_delay + config.ooo_extra_stages)
+        return 2 * (len(self.trace) + 1) * (miss + penalties)
+
     def check_cycle_budget(self, now: int, max_cycles: int) -> None:
         """Uniform divergence check used by every core's run loop."""
         if now > max_cycles:

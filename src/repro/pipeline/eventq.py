@@ -9,14 +9,14 @@ producer-visibility wake-ups on this two-tier calendar:
 * farther events (memory-latency fills) go to a binary heap ordered by
   due cycle, popped as they come due.
 
-The calendar stores caller-shaped entries and never inspects them beyond
-the heap ordering:
+Entries have the kernel's shape, and the calendar reads them only as
+far as the heap order needs:
 
-* **Far entries are due-cycle-first.**  A heap entry must compare by
-  its due cycle, i.e. ``entry[0] == time``.  Wheel entries need no time
-  field because the caller drains slots cycle-by-cycle (the slot index
-  IS the time): the OOO kernel stores bare seqs in the wheel, and
-  ``(cycle, seq)`` on the heap.
+* **Wheel entries are bare seqs, heap entries ``(cycle, seq)``.**  A
+  wheel entry needs no time field because the caller drains slots
+  cycle-by-cycle (the slot index IS the time); a heap entry compares
+  by its due cycle first.  A far entry that comes due is promoted into
+  its cycle's slot as a bare seq, so a drain sees only seqs.
 * **Staleness is the caller's stamp, checked at drain.**  Nothing is
   ever removed from the calendar eagerly.  The caller discards an
   entry whose stamp no longer matches when it surfaces.  The OOO
@@ -32,19 +32,19 @@ the heap ordering:
   *stale* entries can be jumped, and their stamp discards them
   whenever they next surface.
 * **The hot loop inlines.**  The kernel localizes :attr:`wheel` and
-  :attr:`heap` and open-codes :meth:`schedule` / the drain loop — at a
-  few million events per second a method call per event is measurable.
-  Those methods are the readable specification of the idioms (and the
-  surface the unit tests pin); the localized loops must stay
-  observationally identical to them.  :meth:`next_live`, the idle
-  skip's horizon query, runs only on quiescent cycles, so the kernel
-  calls it.
+  :attr:`heap` and open-codes :meth:`schedule` and :meth:`pop_due` —
+  at a few million events per second a method call per event is
+  measurable.  Those two methods are the readable specification of the
+  idioms, with the kernel's entry shapes and drain order (and the
+  surface the unit tests pin).
+  :meth:`next_live`, the idle skip's horizon query, runs only on
+  quiescent cycles, so the kernel calls it.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, List, Tuple
+from typing import Callable, List, Tuple
 
 #: Calendar horizon: events strictly less than ``WHEEL`` cycles out sit
 #: in a wheel slot, farther ones in the heap.  Power of two — the slot
@@ -62,49 +62,44 @@ class EventCalendar:
 
     def __init__(self) -> None:
         self.wheel: List[list] = [[] for _ in range(WHEEL)]
-        self.heap: List[Tuple] = []
+        self.heap: List[Tuple[int, int]] = []
 
-    def schedule(self, time: int, now: int, entry: tuple) -> None:
-        """File ``entry`` to fire at cycle ``time`` (``time > now``).
-
-        Near events (``time - now < WHEEL``) go to their wheel slot;
-        far events are heap-pushed and must be due-cycle-first tuples
-        (``entry[0] == time``).
-        """
+    def schedule(self, time: int, now: int, seq: int) -> None:
+        """File ``seq`` to surface at cycle ``time`` (``time > now``):
+        bare in its wheel slot when near (``time - now < WHEEL``), as
+        ``(time, seq)`` on the heap when far."""
         if time - now < WHEEL:
-            self.wheel[time & WHEEL_MASK].append(entry)
+            self.wheel[time & WHEEL_MASK].append(seq)
         else:
-            heappush(self.heap, entry)
+            heappush(self.heap, (time, seq))
 
     def slot(self, now: int) -> list:
-        """The wheel slot due at cycle ``now`` (drain with ``del s[:]``)."""
+        """The wheel slot due at cycle ``now``."""
         return self.wheel[now & WHEEL_MASK]
 
     def pop_due(self, now: int) -> list:
-        """Drain and return every entry due at or before ``now``.
+        """Drain and return the seqs due at ``now``.
 
-        Returns this cycle's wheel slot entries followed by all far
-        entries whose due cycle has arrived (heap order) — far events
-        are *promoted* out of the heap the moment their cycle comes due,
-        which for a cycle-by-cycle caller is exactly their own cycle.
-        Staleness stamps are NOT checked here; the caller filters.
+        Every heap entry due at or before ``now`` is first promoted into
+        this cycle's slot as a bare seq, after the slot's own entries
+        (heap order among themselves); for a cycle-by-cycle caller that
+        is exactly their own cycle.  Staleness stamps are NOT checked
+        here; the caller filters.
         """
-        due: list = []
         slot = self.wheel[now & WHEEL_MASK]
-        if slot:
-            due.extend(slot)
-            del slot[:]
         heap = self.heap
         while heap and heap[0][0] <= now:
-            due.append(heappop(heap))
+            slot.append(heappop(heap)[1])
+        due = slot[:]
+        del slot[:]
         return due
 
     def next_live(self, now: int, limit: int,
-                  live: Callable[[Any, int], bool]) -> int:
+                  live: Callable[[int, int], bool]) -> int:
         """The earliest cycle before ``limit`` at which a live entry is due.
 
         Visits the wheel slots of cycles ``now`` up to ``limit``, at most
-        :data:`WHEEL` of them, for an entry that ``live(entry, t)``, the
+        :data:`WHEEL` of them, for a seq that ``live(seq, t)``, the
         caller's stamp rule, accepts at its slot's cycle ``t``.  The heap
         top bounds the answer, live or stale (a stale top only makes the
         answer earlier); ``limit`` is returned when nothing comes first.
@@ -117,20 +112,10 @@ class EventCalendar:
             stop = limit
         wheel = self.wheel
         for t in range(now, stop):
-            for entry in wheel[t & WHEEL_MASK]:
-                if live(entry, t):
+            for seq in wheel[t & WHEEL_MASK]:
+                if live(seq, t):
                     return t
         return limit
-
-    def clear(self) -> None:
-        """Drop every scheduled event (fresh calendar, same lists)."""
-        for slot in self.wheel:
-            del slot[:]
-        del self.heap[:]
-
-    def __len__(self) -> int:
-        """Total entries filed (including stale ones awaiting discard)."""
-        return sum(len(slot) for slot in self.wheel) + len(self.heap)
 
 
 __all__ = ("WHEEL", "WHEEL_MASK", "EventCalendar")

@@ -35,7 +35,9 @@ class InOrderCore(BaseCore):
         super().__init__(trace, config, config.inorder_buffer_size,
                          check=check, tracer=tracer, slow=slow)
 
-    def run(self, max_cycles: int = 500_000_000) -> SimStats:
+    def run(self, max_cycles: Optional[int] = None) -> SimStats:
+        if max_cycles is None:
+            max_cycles = self.cycle_budget()
         trace = self.trace
         dec = trace.decoded
         n = dec.n

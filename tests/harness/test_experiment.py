@@ -1,9 +1,13 @@
 """Tests for the experiment harness, reports and figure drivers."""
 
+import weakref
+from collections import Counter
+
 import pytest
 
-from repro.harness import (Matrix, TraceCache, fig6_table, figure6, figure8,
-                           geomean, run_matrix, run_model, speedup_table,
+from repro.harness import (Matrix, ResultsCache, TraceCache, experiment,
+                           fig6_table, figure6, figure7, figure8, geomean,
+                           run_matrix, run_model, speedup_table,
                            stall_reduction, summarize_headline, table1)
 from repro.machine import MachineConfig
 from repro.memory.configs import config2_hierarchy
@@ -114,3 +118,56 @@ class TestFigureDrivers:
             "registers", "scheduling", "memory-ordering"}
         for ratio in result.data["average"].values():
             assert ratio > 0
+
+
+class TestExecuteOnce:
+    """A driver that replays one trace across several sweeps, or reads
+    it after its sweep, hands the sweep its trace cache, so each
+    program is functionally executed once per driver call."""
+
+    @pytest.fixture
+    def executions(self, monkeypatch):
+        counts = Counter()
+        execute = experiment.execute
+
+        def counted(program, **kwargs):
+            counts[program.name] += 1
+            return execute(program, **kwargs)
+
+        monkeypatch.setattr(experiment, "execute", counted)
+        return counts
+
+    @pytest.mark.parametrize("stored", [False, True],
+                             ids=["no-results-cache", "results-cache"])
+    def test_figure7_executes_each_program_once(self, executions, stored,
+                                                tmp_path):
+        store = ResultsCache(tmp_path) if stored else None
+        figure7(scale=SCALE, workloads=("vpr", "mcf"), parallel=1,
+                results_cache=store)
+        assert dict(executions) == {"vpr": 1, "mcf": 1}
+
+    def test_cold_table1_with_results_cache_executes_mcf_once(
+            self, executions, tmp_path):
+        table1(scale=SCALE, workload="mcf", parallel=1,
+               results_cache=ResultsCache(tmp_path))
+        assert dict(executions) == {"mcf": 1}
+
+
+def test_serial_run_matrix_holds_one_workloads_trace(monkeypatch):
+    """Given no cache, run_matrix's serial loop drops each workload's
+    trace after its models: no model starts while another workload's
+    trace is alive."""
+    seen, others_alive = [], []
+    run = experiment.run_model
+
+    def weighing(model, trace, config=None):
+        others_alive.append(sum(ref() not in (None, trace) for ref in seen))
+        if not any(ref() is trace for ref in seen):
+            seen.append(weakref.ref(trace))
+        return run(model, trace, config)
+
+    monkeypatch.setattr(experiment, "run_model", weighing)
+    run_matrix(("inorder", "multipass"), ("vpr", "parser", "gzip"),
+               scale=SCALE)
+    assert len(seen) == 3
+    assert others_alive == [0] * 6

@@ -26,16 +26,16 @@ needs_fork = pytest.mark.skipif(
     reason="worker-killing runners rely on fork inheriting the environment")
 
 
-def _boom(spec):
+def _boom(spec, traces):
     if spec.workload == "vpr" and spec.model == "multipass":
         raise RuntimeError("injected fault")
-    return simulate_cell(spec)
+    return simulate_cell(spec, traces)
 
 
-def _flaky_for_sleep(spec):
+def _flaky_for_sleep(spec, traces):
     if spec.model == "multipass":
         time.sleep(60)
-    return simulate_cell(spec)
+    return simulate_cell(spec, traces)
 
 
 def _kill_worker():
@@ -45,7 +45,7 @@ def _kill_worker():
     os._exit(1)
 
 
-def _die_once(spec):
+def _die_once(spec, traces):
     if spec.workload == "vpr" and spec.model == "multipass":
         try:
             fd = os.open(os.environ[KILL_MARKER_ENV],
@@ -55,13 +55,13 @@ def _die_once(spec):
         else:
             os.close(fd)
             _kill_worker()
-    return simulate_cell(spec)
+    return simulate_cell(spec, traces)
 
 
-def _always_die(spec):
+def _always_die(spec, traces):
     if spec.workload == "vpr" and spec.model == "multipass":
         _kill_worker()
-    return simulate_cell(spec)
+    return simulate_cell(spec, traces)
 
 
 def test_raising_cell_records_failure_row_and_retry():

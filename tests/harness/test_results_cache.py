@@ -28,7 +28,7 @@ def _key(i: int) -> str:
     return f"{i:064x}"
 
 
-def _stand_in(spec):
+def _stand_in(spec, traces):
     """A runner that simulates nothing: one distinct stats per cell."""
     return SimStats(spec.model, spec.workload,
                     cycles=len(spec.model) * len(spec.workload))

@@ -5,6 +5,7 @@ from bisect import bisect_left
 import pytest
 
 from repro.compiler import CompileOptions
+from repro.harness import TraceCache, make_model
 from repro.isa import P, R
 from repro.machine import MachineConfig
 from repro.multipass import Mode, MultipassCore
@@ -154,3 +155,22 @@ def test_waw_flag_changes_deferral_behaviour():
     assert paper.instructions == ablated.instructions == len(trace)
     assert ablated.counters["advance_deferrals"] <= \
         paper.counters["advance_deferrals"]
+
+
+@pytest.mark.parametrize("slow", [False, True], ids=["kernel", "slow"])
+@pytest.mark.parametrize("model", ["multipass", "runahead"])
+def test_cores_keep_their_stores_off_the_shared_image(model, slow):
+    """Every core replaying a trace reads the program's one data image;
+    a multipass-family core keeps only the stores it commits, in its
+    own overlay, and never writes the image."""
+    trace = TraceCache(0.05).trace("mcf")
+    image = trace.program.memory_image
+    before = dict(image)
+    core = make_model(model, trace, slow=slow)
+    core.run()
+    assert image == before
+    stored = {addr for addr, store in zip(trace.addr, trace.decoded.is_store)
+              if store}
+    assert core.mem_vals and set(core.mem_vals) <= stored
+    assert all(core.mem_vals[addr] == trace.final_memory[addr]
+               for addr in core.mem_vals)

@@ -36,62 +36,69 @@ from repro.pipeline.eventq import WHEEL_MASK
 from repro.resources import PORT_CODE, PortModel, PortTracker, issue_table
 
 
+def _drained(cal):
+    return cal.heap == [] and not any(cal.wheel)
+
+
 class TestWheel:
     def test_near_event_drains_exactly_at_due_cycle(self):
         cal = EventCalendar()
-        cal.schedule(7, now=3, entry=(7, "x"))
+        cal.schedule(7, now=3, seq=1)
         for now in range(4, 7):
             assert cal.pop_due(now) == []
-        assert cal.pop_due(7) == [(7, "x")]
-        assert len(cal) == 0
+        assert cal.pop_due(7) == [1]
+        assert _drained(cal)
 
     def test_wrap_lands_in_same_slot_different_era(self):
         # 60 -> 75 crosses the wheel origin; the slot index wraps but
         # the entry still surfaces exactly at 75.
         cal = EventCalendar()
-        cal.schedule(75, now=60, entry=(75,))
-        assert cal.slot(75 - WHEEL) == cal.wheel[75 & WHEEL_MASK]
+        cal.schedule(75, now=60, seq=1)
+        assert cal.slot(75 - WHEEL) == cal.wheel[75 & WHEEL_MASK] == [1]
         for now in range(61, 75):
             assert cal.pop_due(now) == []
-        assert cal.pop_due(75) == [(75,)]
+        assert cal.pop_due(75) == [1]
 
     def test_same_cycle_entries_keep_insertion_order(self):
         cal = EventCalendar()
-        cal.schedule(9, now=8, entry=("a",))
-        cal.schedule(9, now=8, entry=("b",))
-        assert cal.pop_due(9) == [("a",), ("b",)]
+        cal.schedule(9, now=8, seq=2)
+        cal.schedule(9, now=8, seq=1)
+        assert cal.pop_due(9) == [2, 1]
 
     def test_horizon_boundary(self):
-        # time - now == WHEEL - 1 is the last wheel-resident distance;
-        # WHEEL goes to the heap.
+        # time - now == WHEEL - 1 is the last wheel-resident distance,
+        # filed as a bare seq; WHEEL goes to the heap as (time, seq).
         cal = EventCalendar()
-        cal.schedule(WHEEL - 1, now=0, entry=(WHEEL - 1,))
-        cal.schedule(WHEEL, now=0, entry=(WHEEL,))
-        assert cal.heap == [(WHEEL,)]
+        cal.schedule(WHEEL - 1, now=0, seq=1)
+        cal.schedule(WHEEL, now=0, seq=2)
+        assert cal.slot(WHEEL - 1) == [1]
+        assert cal.heap == [(WHEEL, 2)]
 
 
 class TestFarHeap:
     def test_promoted_exactly_when_due(self):
         cal = EventCalendar()
-        cal.schedule(200, now=0, entry=(200, "fill"))
+        cal.schedule(200, now=0, seq=3)
         assert cal.pop_due(199) == []
-        assert cal.pop_due(200) == [(200, "fill")]
-        assert cal.heap == []
+        assert cal.pop_due(200) == [3]
+        assert _drained(cal)
 
     def test_pop_due_orders_wheel_before_heap(self):
+        # The heap promotes its due seqs into the slot behind the
+        # slot's own, as the kernel's drain does.
         cal = EventCalendar()
-        cal.schedule(100, now=0, entry=(100, "far"))
-        cal.schedule(100, now=90, entry=("near",))
-        assert cal.pop_due(100) == [("near",), (100, "far")]
+        cal.schedule(100, now=0, seq=1)       # far
+        cal.schedule(100, now=90, seq=2)      # near
+        assert cal.pop_due(100) == [2, 1]
 
     def test_late_visit_drains_every_overdue_far_event(self):
         # A fast-forwarding caller may first visit the heap cycles
         # after several far events came due; all of them surface.
         cal = EventCalendar()
-        for t in (70, 80, 90):
-            cal.schedule(t, now=0, entry=(t,))
-        assert cal.pop_due(85) == [(70,), (80,)]
-        assert cal.heap == [(90,)]
+        for seq, t in enumerate((70, 80, 90)):
+            cal.schedule(t, now=0, seq=seq)
+        assert cal.pop_due(85) == [0, 1]
+        assert cal.heap == [(90, 2)]
 
 
 class TestStaleness:
@@ -102,10 +109,10 @@ class TestStaleness:
         # becomes visible at the drain cycle) keeps exactly the live one.
         cal = EventCalendar()
         value_ready = {4: 10}
-        cal.schedule(10, now=5, entry=4)
+        cal.schedule(10, now=5, seq=4)
         value_ready[4] = 0                # squash seq 4
         value_ready[4] = 12               # reissue
-        cal.schedule(12, now=6, entry=4)
+        cal.schedule(12, now=6, seq=4)
         stale = [p for p in cal.pop_due(10) if value_ready[p] == 10]
         assert stale == []                # old-era entry discarded
         live = [p for p in cal.pop_due(12) if value_ready[p] == 12]
@@ -116,24 +123,15 @@ class TestStaleness:
         # next comes around (one wrap later) the entry is still there
         # and still identifiably stale.
         cal = EventCalendar()
-        cal.schedule(10, now=5, entry=(4, 0))
+        cal.schedule(10, now=5, seq=4)
         # skip straight past cycle 10 without visiting the slot...
         assert cal.slot(10 + WHEEL) is cal.slot(10)
-        assert cal.slot(10 + WHEEL) == [(4, 0)]     # ...it survives
-
-    def test_clear_empties_everything(self):
-        cal = EventCalendar()
-        cal.schedule(3, now=0, entry=(3,))
-        cal.schedule(500, now=0, entry=(500,))
-        assert len(cal) == 2
-        cal.clear()
-        assert len(cal) == 0
-        assert cal.heap == []
+        assert cal.slot(10 + WHEEL) == [4]    # ...it survives
 
 
-def _due(entry, cycle):
-    """Stamp rule for ``(due, ...)`` entries: live iff due at ``cycle``."""
-    return entry[0] == cycle
+def _due(seq, cycle):
+    """Stamp rule for seqs filed under their own due cycle."""
+    return seq == cycle
 
 
 class TestIdleSkipInteraction:
@@ -145,28 +143,28 @@ class TestIdleSkipInteraction:
         cal = EventCalendar()
         now = 100
         wake = now + WHEEL - 1            # worst-case near distance
-        cal.schedule(wake, now, entry=(wake, "wake"))
+        cal.schedule(wake, now, seq=wake)
         assert cal.next_live(now + 1, 1 << 40, _due) == wake
         # the skip visits no intermediate slot; the landing visit
         # drains the event exactly once
-        assert cal.pop_due(wake) == [(wake, "wake")]
+        assert cal.pop_due(wake) == [wake]
         assert cal.pop_due(wake + WHEEL) == []
 
     def test_far_event_caps_the_skip(self):
         # A skip past the wheel horizon is capped by the heap top; the
         # promoted entry then bounds the landing cycle.
         cal = EventCalendar()
-        cal.schedule(300, now=0, entry=(300, "fill"))
+        cal.schedule(300, now=0, seq=300)
         horizon = cal.next_live(1, 1 << 40, _due)
         assert horizon == 300
-        assert cal.pop_due(horizon) == [(300, "fill")]
+        assert cal.pop_due(horizon) == [300]
 
 
 class TestNextLive:
     def test_finds_the_earliest_live_wheel_entry(self):
         cal = EventCalendar()
         for due in (9, 5, 30):
-            cal.schedule(due, now=0, entry=(due,))
+            cal.schedule(due, now=0, seq=due)
         assert cal.next_live(1, 100, _due) == 5
 
     def test_passes_over_an_entry_restamped_by_a_squash(self):
@@ -174,9 +172,9 @@ class TestNextLive:
         # visibility cycle; a squash resets it, a reissue restamps it.
         cal = EventCalendar()
         value_ready = {4: 10}
-        cal.schedule(10, now=5, entry=4)
+        cal.schedule(10, now=5, seq=4)
         value_ready[4] = 12               # squashed and reissued
-        cal.schedule(12, now=6, entry=4)
+        cal.schedule(12, now=6, seq=4)
 
         def live(p, t):
             return value_ready[p] == t
@@ -190,43 +188,43 @@ class TestNextLive:
         # when the wheel comes round; a live entry of the new era in the
         # same slot is the one found.
         cal = EventCalendar()
-        cal.schedule(10, now=5, entry=(10, "stale"))
+        cal.schedule(10, now=5, seq=10)
         now = 20                          # cycle 10's slot never drained
         assert cal.next_live(now, 1000, _due) == 1000
-        cal.schedule(10 + WHEEL, now, entry=(10 + WHEEL, "live"))
-        assert cal.slot(10 + WHEEL) == [(10, "stale"), (10 + WHEEL, "live")]
+        cal.schedule(10 + WHEEL, now, seq=10 + WHEEL)
+        assert cal.slot(10 + WHEEL) == [10, 10 + WHEEL]
         assert cal.next_live(now, 1000, _due) == 10 + WHEEL
 
     def test_finds_an_entry_due_exactly_at_now(self):
         # The off-by-one of docs/architecture.md section 11: an event
         # landing on ``now`` must veto the skip, not be jumped.
         cal = EventCalendar()
-        cal.schedule(50, now=40, entry=(50,))
-        cal.schedule(200, now=40, entry=(200,))
+        cal.schedule(50, now=40, seq=50)
+        cal.schedule(200, now=40, seq=200)
         assert cal.next_live(50, 1000, _due) == 50
-        assert cal.pop_due(50) == [(50,)]
+        assert cal.pop_due(50) == [50]
         assert cal.next_live(200, 1000, _due) == 200
 
     def test_heap_top_bounds_the_answer(self):
         cal = EventCalendar()
-        cal.schedule(300, now=0, entry=(300, "fill"))
-        cal.schedule(310, now=280, entry=(310,))
+        cal.schedule(300, now=0, seq=300)
+        cal.schedule(310, now=280, seq=310)
         assert cal.next_live(290, 1000, _due) == 300
         # a stale heap top still bounds it: it only shortens a skip
-        assert cal.next_live(290, 1000, lambda entry, t: False) == 300
+        assert cal.next_live(290, 1000, lambda seq, t: False) == 300
         # ... and a limit before the heap top wins
         assert cal.next_live(290, 295, _due) == 295
 
     def test_stops_its_scan_at_the_limit_and_the_wheel_horizon(self):
         cal = EventCalendar()
         for slot in cal.wheel:            # one stale entry in every slot
-            slot.append((-1,))
-        cal.schedule(30, now=0, entry=(30,))
+            slot.append(-1)
+        cal.schedule(30, now=0, seq=30)
         visited = []
 
-        def live(entry, t):
+        def live(seq, t):
             visited.append(t)
-            return entry[0] == t
+            return seq == t
 
         assert cal.next_live(0, 20, live) == 20
         assert sorted(set(visited)) == list(range(20))
@@ -272,15 +270,14 @@ class TestCalendarProperties:
         for now in range(0, horizon + 1):
             while nxt is not None and nxt[0] == now:
                 key = len(drained) + len(pending)
-                cal.schedule(nxt[1], now, entry=(nxt[1], key))
+                cal.schedule(nxt[1], now, seq=key)
                 pending[key] = nxt[1]
                 nxt = next(inserts, None)
-            for due, key in cal.pop_due(now):
-                assert due == now, "entry drained off its cycle"
-                assert pending.pop(key) == now
+            for key in cal.pop_due(now):
+                assert pending.pop(key) == now, "entry drained off its cycle"
                 drained[key] = now
         assert not pending, "entries never drained"
-        assert len(cal) == 0
+        assert _drained(cal)
 
     @given(schedules_with_squashes(), st.integers(min_value=1,
                                                   max_value=400))
@@ -293,14 +290,14 @@ class TestCalendarProperties:
         cal = EventCalendar()
         stamp = {}
 
-        def live(entry, t):
-            return stamp[entry[1]] == t
+        def live(seq, t):
+            return stamp[seq] == t
 
         for now in range(max(due for _, due, _ in events) + 1):
             for insert, due, key in events:
                 if insert == now:
                     stamp[key] = due
-                    cal.schedule(due, now, entry=(due, key))
+                    cal.schedule(due, now, seq=key)
             for key, at in squashed:
                 if at == now:
                     stamp[key] = 0
@@ -309,7 +306,7 @@ class TestCalendarProperties:
                          + [limit])
             got = cal.next_live(now, limit, live)
             assert got <= expect, "a live entry was jumped"
-            if not cal.heap or live(cal.heap[0], cal.heap[0][0]):
+            if not cal.heap or live(cal.heap[0][1], cal.heap[0][0]):
                 assert got == expect
             cal.pop_due(now)
 

@@ -59,7 +59,7 @@ _MACHINE_INT_FIELDS = [
 ]
 
 
-def _stand_in(spec):
+def _stand_in(spec, traces):
     """A runner that simulates nothing."""
     return SimStats(spec.model, spec.workload)
 
